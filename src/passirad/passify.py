@@ -91,9 +91,8 @@ def constrained_distance(
     nm = model.n + model.m
     if frequency_scan(model, tol).passive:
         return 0.0, np.zeros((nm, nm), dtype=np.complex128)
-    rho_a = float(np.max(np.abs(np.linalg.eigvals(model.A))))
     lo = 0.0
-    hi = max(t, rho_a - 1.0 + t)
+    hi = max(t, model.spectral_radius - 1.0 + t)
     doublings = 0
     while not _backward_passive(model, hi, tol):
         lo = hi

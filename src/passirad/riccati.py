@@ -12,8 +12,11 @@ With G = (D^H + D)^{-1} and A0 = A - B G C,
     L = [[I, B G B^H], [0, A0^H]],   K = [[A0, 0], [C^H G C, I]].
 
 Zeros of Phi are also the finite eigenvalues of the inversion-free
-extended (2n+m) pencil z Lx + Kx built directly from {A, B, C, D}; that
-form is used whenever D^H + D may be singular.
+extended (2n+m) pencil z L_ext - K_ext built directly from {A, B, C, D};
+that form is used whenever D^H + D may be singular.  Its eigenvalues are
+computed without Schur vectors, since only their moduli and phases are
+used; the reduced pencil goes through ordered QZ, whose vectors span the
+deflating subspaces.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, DomainError, SpectralSplittingError
-from .kernels import DEFAULT_TOL, Tolerances, hermitian_part, spectral_norm
+from .kernels import DEFAULT_TOL, Tolerances, hermitian_part
 from .system_model import StateSpaceModel
 
 __all__ = [
@@ -47,7 +50,6 @@ class SymplecticPencil:
     """Pencil data for the spectral-density zeros of one model.
 
     L, K     2n x 2n factors of z L - K (None when D^H + D is singular)
-    S        explicit L^{-1} K when L is invertible, else None
     K_ext    (2n+m) extended pencil factors, always present, zeros of Phi
     L_ext    are the finite eigenvalues of z L_ext - K_ext
     reduced_available  whether L, K could be formed
@@ -55,7 +57,6 @@ class SymplecticPencil:
 
     L: Optional[np.ndarray]
     K: Optional[np.ndarray]
-    S: Optional[np.ndarray]
     K_ext: np.ndarray
     L_ext: np.ndarray
     reduced_available: bool
@@ -101,7 +102,7 @@ def extended_pencil(model: StateSpaceModel) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def build_symplectic(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> SymplecticPencil:
-    """Assemble the pencil factors; S explicitly only when well posed.
+    """Assemble the extended pencil and, when well posed, the reduced one.
 
     The reduced 2n factors need D^H + D invertible at rank_tol; when it is
     not, the result is flagged pencil-only and carries just the extended
@@ -115,7 +116,7 @@ def build_symplectic(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> S
     invertible = s.size > 0 and s[-1] > tol.rank_tol * max(s[0], 1.0)
     if not invertible:
         return SymplecticPencil(
-            L=None, K=None, S=None, K_ext=K_ext, L_ext=L_ext, reduced_available=False
+            L=None, K=None, K_ext=K_ext, L_ext=L_ext, reduced_available=False
         )
     G = np.linalg.inv(G_mat)
     A0 = A - B @ G @ C
@@ -123,32 +124,30 @@ def build_symplectic(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> S
     Zn = np.zeros((n, n), dtype=np.complex128)
     L = np.block([[I, B @ G @ B.conj().T], [Zn, A0.conj().T]])
     K = np.block([[A0, Zn], [C.conj().T @ G @ C, I]])
-    sL = np.linalg.svd(L, compute_uv=False)
-    S = None
-    if sL[-1] > tol.rank_tol * max(sL[0], 1.0):
-        S = np.linalg.solve(L, K)
-    return SymplecticPencil(L=L, K=K, S=S, K_ext=K_ext, L_ext=L_ext, reduced_available=True)
+    return SymplecticPencil(L=L, K=K, K_ext=K_ext, L_ext=L_ext, reduced_available=True)
 
 
-def pencil_eigenvalues(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
     """All generalized eigenvalues of the extended pencil (zeros of Phi plus
-    structural infinities), with indeterminate 0/0 pairs dropped."""
+    structural infinities), with indeterminate 0/0 pairs dropped.
+
+    The pencil is solved in complex arithmetic for eigenvalues only.  A pair
+    (alpha, beta) is 0/0 when both sit below 1e-12 times the Frobenius norm
+    (at least 1) of their factor.
+    """
     K_ext, L_ext = extended_pencil(model)
-    alpha, beta = _pencil_alpha_beta(K_ext, L_ext)
-    scale_a = max(spectral_norm(K_ext), 1.0)
-    scale_b = max(spectral_norm(L_ext), 1.0)
+    scale_a = max(float(np.linalg.norm(K_ext)), 1.0)
+    scale_b = max(float(np.linalg.norm(L_ext)), 1.0)
+    # det(beta K - alpha L) = 0 in homogeneous form, lambda = alpha/beta
+    alpha, beta = scipy.linalg.eig(
+        K_ext, L_ext, left=False, right=False, homogeneous_eigvals=True
+    )
     keep = ~((np.abs(alpha) <= 1e-12 * scale_a) & (np.abs(beta) <= 1e-12 * scale_b))
     alpha, beta = alpha[keep], beta[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = alpha / beta
     lam[beta == 0] = np.inf
     return lam
-
-
-def _pencil_alpha_beta(K: np.ndarray, L: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # det(beta K - alpha L) = 0 in homogeneous form, lambda = alpha/beta
-    AA, BB, Q, Z = scipy.linalg.qz(K, L, output="complex")
-    return np.diag(AA).copy(), np.diag(BB).copy()
 
 
 def _split_check(alpha: np.ndarray, beta: np.ndarray, n: int, tol: Tolerances) -> None:

@@ -8,6 +8,7 @@ Phi(e^{iw}) = T(e^{iw})^H + T(e^{iw}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,7 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Immutable discrete-time model {A, B, C, D} with m inputs = m outputs."""
+    """Immutable discrete-time model {A, B, C, D} with m inputs = m outputs.
+
+    The spectrum of A is computed on first use and cached on the instance;
+    it is not a field, so equality and hashing still see only A, B, C, D.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -60,6 +65,18 @@ class StateSpaceModel:
     @property
     def m(self) -> int:
         return self.D.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A (read-only, computed once per model)."""
+        eigs = np.linalg.eigvals(self.A)
+        eigs.setflags(write=False)
+        return eigs
+
+    @property
+    def spectral_radius(self) -> float:
+        """rho(A), 0.0 for an empty state."""
+        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
 
     def system_matrix(self) -> np.ndarray:
         """The assembled (n+m) x (n+m) block matrix [[A, B], [C, D]]."""
@@ -119,8 +136,8 @@ def validate_minimal(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> M
     A, B, C = model.A, model.B, model.C
     ctrl = _krylov_rank(A, B, tol.rank_tol)
     obs = _krylov_rank(A.conj().T, C.conj().T, tol.rank_tol)
-    eigs = np.linalg.eigvals(A)
-    rho = float(np.abs(eigs).max()) if eigs.size else 0.0
+    eigs = model.eigenvalues
+    rho = model.spectral_radius
     asym = rho < 1.0 - tol.circle_tol
     on_circle = np.nonzero(np.abs(np.abs(eigs) - 1.0) <= tol.circle_tol)[0]
     inside_ok = bool(np.all(np.abs(eigs) <= 1.0 + tol.circle_tol))

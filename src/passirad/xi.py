@@ -121,7 +121,7 @@ def shift_model(
 
 def xi_upper_bound(model: StateSpaceModel) -> float:
     """1 - rho(A): forward shifts at or past this lose stability."""
-    return 1.0 - float(np.max(np.abs(np.linalg.eigvals(model.A)), initial=0.0))
+    return 1.0 - model.spectral_radius
 
 
 def xi_star(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -148,7 +148,7 @@ def xi_star(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _safe_frequency(model: StateSpaceModel) -> float:
     """A circle frequency far from the phases of A's eigenvalues."""
-    eigs = np.linalg.eigvals(model.A)
+    eigs = model.eigenvalues
     candidates = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]
     phases = np.sort(np.mod(np.angle(eigs[np.abs(eigs) > 1e-14]), _TWO_PI))
     if phases.size:
@@ -164,7 +164,7 @@ def _safe_frequency(model: StateSpaceModel) -> float:
 
 
 def _circle_zero_frequencies(model: StateSpaceModel, tol: Tolerances) -> np.ndarray:
-    lams = pencil_eigenvalues(model, tol)
+    lams = pencil_eigenvalues(model)
     finite = lams[np.isfinite(lams)]
     on_circle = finite[np.abs(np.abs(finite) - 1.0) <= tol.circle_tol]
     if on_circle.size == 0:
@@ -189,7 +189,7 @@ def _phi_lambda_min(model: StateSpaceModel, omega: float, tol: Tolerances) -> Tu
 def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> FrequencyScan:
     """Classify a model's circle behavior: stability, spectral-function
     zeros, and the arcs on which positivity fails."""
-    rho_a = float(np.max(np.abs(np.linalg.eigvals(model.A)), initial=0.0))
+    rho_a = model.spectral_radius
     if rho_a >= 1.0:
         return FrequencyScan(
             stable=False,
@@ -237,9 +237,8 @@ def has_unit_circle_zeros(
     within circle_tol; stable reports rho(A) < 1.
     """
     model = getattr(shifted, "model", shifted)
-    rho_a = float(np.max(np.abs(np.linalg.eigvals(model.A)), initial=0.0))
     zeros = _circle_zero_frequencies(model, tol)
-    return zeros.size > 0, zeros, rho_a < 1.0
+    return zeros.size > 0, zeros, model.spectral_radius < 1.0
 
 
 def gamma_xi_omega(model: StateSpaceModel, xi: float, omega: float) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from passirad import StateSpaceModel
 from passirad.errors import DomainError, SpectralSplittingError
@@ -124,3 +126,45 @@ def test_singular_symmetric_part_of_D_raises():
     assert not build_symplectic(skew).reduced_available
     with pytest.raises(DomainError):
         extremal_solutions(skew)
+
+
+def _qz_reference(model):
+    """Pencil eigenvalues by full complex QZ, with 0/0 pairs dropped at
+    1e-12 times the spectral norm of each factor."""
+    K, L = extended_pencil(model)
+    AA, BB, _, _ = scipy.linalg.qz(K, L, output="complex")
+    alpha, beta = np.diag(AA), np.diag(BB)
+    keep = ~(
+        (np.abs(alpha) <= 1e-12 * max(np.linalg.norm(K, 2), 1.0))
+        & (np.abs(beta) <= 1e-12 * max(np.linalg.norm(L, 2), 1.0))
+    )
+    alpha, beta = alpha[keep], beta[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = alpha / beta
+    lam[beta == 0] = np.inf
+    return lam
+
+
+def _assert_same_pencil_spectrum(got, expected):
+    assert np.sum(~np.isfinite(got)) == np.sum(~np.isfinite(expected))
+    g, e = got[np.isfinite(got)], expected[np.isfinite(expected)]
+    assert g.size == e.size
+    # match the two multisets by a minimum-cost assignment
+    cost = np.abs(g[:, None] - e[None, :]) / np.maximum(np.abs(e[None, :]), 1.0)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert cost[rows, cols].max(initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (5, 5), (20, 3), (20, 20)])
+@pytest.mark.parametrize("data", ["complex", "real"])
+def test_pencil_eigenvalues_match_full_qz(n, m, data, real_passive_system):
+    for seed in range(2):
+        if data == "complex":
+            model = random_passive_system(n, m, seed=seed).model
+        else:
+            model = real_passive_system(n, m, seed)
+        _assert_same_pencil_spectrum(pencil_eigenvalues(model), _qz_reference(model))
+
+
+def test_pencil_eigenvalues_match_full_qz_on_static_model(m_flat):
+    _assert_same_pencil_spectrum(pencil_eigenvalues(m_flat), _qz_reference(m_flat))

@@ -1,11 +1,14 @@
 """State-space container, minimality/stability report, frequency evaluations,
 and the trajectory dissipation identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from passirad import StateSpaceModel, build_W
 from passirad.errors import DomainError
+from passirad.experiments import random_passive_system
 from passirad.system_model import (
     phi_eval,
     simulate_dissipation,
@@ -57,6 +60,35 @@ def test_validate_minimal_distinguishes_marginal_from_unstable():
     unstable = StateSpaceModel([[1.5]], [[1.0]], [[1.0]], [[1.0]])
     rep = validate_minimal(unstable)
     assert not rep.stable and not rep.asymptotically_stable
+
+
+def test_cached_spectrum_is_eig_of_A_and_read_only():
+    model = random_passive_system(6, 2, seed=5).model
+    eigs = model.eigenvalues
+    np.testing.assert_array_equal(eigs, np.linalg.eigvals(model.A))
+    assert model.eigenvalues is eigs  # computed once
+    assert not eigs.flags.writeable
+    with pytest.raises(ValueError):
+        eigs[0] = 0.0
+    assert model.spectral_radius == float(np.max(np.abs(eigs)))
+
+
+def test_cached_spectrum_leaves_the_model_frozen_and_comparable(m0):
+    twin = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+    assert m0.spectral_radius == pytest.approx(0.5, abs=1e-15)
+    # the cache is not a field: equality still compares A, B, C, D only
+    assert [f.name for f in dataclasses.fields(m0)] == ["A", "B", "C", "D"]
+    assert m0 == twin and twin == m0
+    assert m0 != StateSpaceModel([[0.25]], [[1.0]], [[1.0]], [[1.0]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m0.A = np.eye(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m0.eigenvalues = np.zeros(1)
+    # array fields make the model unhashable, with or without the cache
+    for model in (m0, twin):
+        with pytest.raises(TypeError):
+            hash(model)
+    np.testing.assert_array_equal(dataclasses.replace(m0, A=[[0.25]]).eigenvalues, [0.25])
 
 
 def test_transfer_eval_closed_form(m0):

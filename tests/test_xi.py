@@ -308,6 +308,35 @@ def test_procedures_agree_on_random_ensemble():
         assert abs(mid_b - mid_e) <= 2e-8, (n, m)
 
 
+def test_shifted_model_computes_its_own_spectrum():
+    base = random_passive_system(5, 2, seed=31).model
+    rho = base.spectral_radius  # fills the base model's cache first
+    for xi in (0.1, 0.4, -0.3):
+        direction = ShiftDirection.FORWARD if xi > 0 else ShiftDirection.BACKWARD
+        shifted = shift_model(base, abs(xi), direction).model
+        assert shifted.spectral_radius == pytest.approx(rho / (1.0 - xi), rel=1e-12)
+
+
+def test_real_and_complex_realizations_agree(real_passive_system):
+    # a complex unitary similarity of a real model: the same transfer
+    # function carried by complex data
+    tau = 1e-8
+    for seed in range(3):
+        model = real_passive_system(6, 2, seed)
+        rng = np.random.default_rng(100 + seed)
+        U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        twin = StateSpaceModel(U.conj().T @ model.A @ U, U.conj().T @ model.B, model.C @ U, model.D)
+        results = [xi_sup_bisection(m, tau) for m in (model, twin)]
+        results += [xi_sup_eigenvalue(m, tau) for m in (model, twin)]
+        lows = [r.xi_lo for r in results]
+        assert max(lows) - min(lows) <= 2 * tau, (seed, lows)
+        # past the margin both realizations see the same circle zeros
+        xi = 0.5 * (results[0].xi_hi + xi_upper_bound(model))
+        zeros = [frequency_scan(shift_model(m, xi).model).zeros for m in (model, twin)]
+        assert len(zeros[0]) > 0
+        np.testing.assert_allclose(zeros[1], zeros[0], rtol=0.0, atol=1e-8)
+
+
 def test_certificate_margins_never_exceed_the_sup():
     nr = random_passive_system(3, 2, seed=61)
     model = nr.model
