@@ -177,6 +177,7 @@ def _tolerances_from(args) -> Tolerances:
         value = getattr(args, arg_name, None)
         if value is not None:
             overrides[field] = value
+    # xi --tau and passify --tau set the bisection width of that command
     if getattr(args, "tau", None) is not None:
         overrides["bisect_tau"] = args.tau
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
@@ -264,7 +265,7 @@ def _cmd_radius(args, tol: Tolerances) -> dict:
     warnings: List[str] = []
     X = _resolve_certificate(model, file_X, args, tol)
     report = x_passivity_radius(model, X, tol)
-    Q, dual_value = dual_certificate(report.search, tol)
+    Q, dual_value = dual_certificate(report.search)
     results = {
         "rho": report.rho,
         "gamma_star": report.search.gamma_star,
@@ -287,7 +288,7 @@ def _cmd_radius(args, tol: Tolerances) -> dict:
 def _cmd_xi(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
     warnings: List[str] = []
-    tau = args.tau if args.tau is not None else tol.bisect_tau
+    tau = tol.bisect_tau
     bis = xi_sup_bisection(model, tau, tol)
     results = {
         "bisection": {
@@ -320,9 +321,8 @@ def _cmd_xi(args, tol: Tolerances) -> dict:
 def _cmd_passify(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
     warnings: List[str] = []
-    tau = args.tau if args.tau is not None else tol.bisect_tau
     norm = "fro" if args.norm == "fro" else "2"
-    report = analyze_distance(model, tau, norm=norm, budget=args.budget, tol=tol)
+    report = analyze_distance(model, tol.bisect_tau, norm=norm, budget=args.budget, tol=tol)
     results = {
         "xi_big": report.xi_big,
         "constrained_norm2": float(np.linalg.norm(report.delta_constrained, 2)),
@@ -341,8 +341,7 @@ def _cmd_passify(args, tol: Tolerances) -> dict:
 
 def _cmd_stability(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
-    tau = args.tau if args.tau is not None else tol.bisect_tau
-    dist = distance_to_stability(model.A, tau, tol)
+    dist = distance_to_stability(model.A, tol)
     results = {
         "xi": dist.xi,
         "attained": dist.attained,
@@ -436,7 +435,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("stability", parents=[common], help="distance to stability of A")
     p.add_argument("--model", required=True)
-    p.add_argument("--tau", type=float, default=None)
 
     p = sub.add_parser("experiment", parents=[common], help="CSV experiments")
     p.add_argument("mode", choices=["ensemble", "scalar"])

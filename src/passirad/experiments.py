@@ -10,7 +10,6 @@ construction and strictly passive with a quantified interior margin.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -75,9 +74,7 @@ class SweepResult:
     balanced_index: int
 
 
-def _draw_system(
-    rng: np.random.Generator, n: int, m: int, margin: float, tol: Tolerances
-) -> StateSpaceModel:
+def _draw_system(rng: np.random.Generator, n: int, m: int, margin: float) -> StateSpaceModel:
     k = n + m
     S = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
     A, B = S[:n, :n], S[:n, n:]
@@ -90,7 +87,7 @@ def _draw_system(
     delta = margin
     for _ in range(80):
         model = StateSpaceModel(A, B, C, D + delta * np.eye(m))
-        if lambda_min(build_W(model, np.eye(n)), tol) >= margin:
+        if lambda_min(build_W(model, np.eye(n))) >= margin:
             return model
         delta *= 2.0
     raise ConvergenceError("diagonal boost failed to reach the requested margin")
@@ -115,28 +112,11 @@ def random_passive_system(
     root = np.random.SeedSequence(seed)
     sequences = [root] + list(root.spawn(5))
     for seq in sequences:
-        model = _draw_system(np.random.default_rng(seq), n, m, margin, tol)
+        model = _draw_system(np.random.default_rng(seq), n, m, margin)
         if validate_minimal(model, tol).minimal:
             eye = np.eye(n)
             return NormalizedRealization(model=model, T=eye, X_source=eye)
     raise ConvergenceError("no minimal sample found in 6 deterministic draws")
-
-
-def _stable_radius(
-    model: StateSpaceModel, X: np.ndarray, digits: int, tol: Tolerances
-) -> float:
-    """Radius recomputed with a shrinking search tolerance until two
-    successive values agree to the requested significant digits."""
-    rel = 0.5 * 10.0 ** (1 - digits)
-    gt = 1e-6
-    prev = x_passivity_radius(model, X, dataclasses.replace(tol, golden_tol=gt)).rho
-    for _ in range(20):
-        gt *= 0.5
-        cur = x_passivity_radius(model, X, dataclasses.replace(tol, golden_tol=gt)).rho
-        if abs(cur - prev) <= rel * abs(cur):
-            return cur
-        prev = cur
-    raise ConvergenceError(f"radius did not stabilize to {digits} digits")
 
 
 def ensemble_experiment(
@@ -144,15 +124,16 @@ def ensemble_experiment(
     n: int,
     m: int,
     seed: int,
-    rho_digits: int = 4,
+    *,
     margin: float = 0.25,
     tol: Tolerances = DEFAULT_TOL,
 ) -> EnsembleResult:
     """Radius-estimate accuracy over a random normalized passive ensemble.
 
-    Each row compares the true radius at X = I against lambda_min of the
-    plain, bordered, and scaled certificate matrices and the single-point
-    geometric-mean estimate.  Degenerate samples are skipped and logged.
+    Each row compares the true radius at X = I, from one golden-section
+    solve at tol.golden_tol, against lambda_min of the plain, bordered, and
+    scaled certificate matrices and the single-point geometric-mean
+    estimate.  Degenerate samples are skipped and logged.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -165,12 +146,12 @@ def ensemble_experiment(
             realization = random_passive_system(n, m, child_seed, margin, tol)
             model = realization.model
             eye = np.eye(n)
-            rho = _stable_radius(model, eye, rho_digits, tol)
-            lam_w = lambda_min(build_W(model, eye), tol)
+            rho = x_passivity_radius(model, eye, tol).rho
+            lam_w = lambda_min(build_W(model, eye))
             Wt = build_Wtilde(model, eye)
-            lam_wt = lambda_min(Wt, tol)
+            lam_wt = lambda_min(Wt)
             Ds = perturbation_frame(n, m).Ds
-            lam_ds = lambda_min(Ds @ Wt @ Ds, tol)
+            lam_ds = lambda_min(Ds @ Wt @ Ds)
             est, _ = geometric_mean_estimate(model, tol)
             rows.append(
                 EnsembleRow(
@@ -252,9 +233,9 @@ def scalar_sweep(
             np.array([[a]]), np.array([[b * t]]), np.array([[c / t]]), np.array([[d]])
         )
         eye = np.eye(1)
-        lam_w = lambda_min(build_W(model, eye), tol)
+        lam_w = lambda_min(build_W(model, eye))
         Wt = build_Wtilde(model, eye)
-        lam_ds = lambda_min(frame.Ds @ Wt @ frame.Ds, tol)
+        lam_ds = lambda_min(frame.Ds @ Wt @ frame.Ds)
         try:
             rho_t = x_passivity_radius(model, eye, tol).rho
         except PassiradError:

@@ -9,7 +9,7 @@ wins over iterative shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Tuple
 
 import numpy as np
@@ -35,14 +35,27 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden bracket shrink factor
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle threaded through all numerical decisions.
+    """Tolerance bundle behind the numerical yes/no decisions.
 
-    rank_tol    relative singular-value cutoff for rank decisions
-    psd_tol     relative dead band for definiteness classification
-    eig_tol     relative clustering width for eigenvalue multiplicity
-    circle_tol  dead band around the unit circle for pencil eigenvalues
-    golden_tol  absolute bracket width for golden-section termination
-    bisect_tau  absolute bracket width for bisection termination
+    Each field names the decisions that read it.  A function that makes no
+    tolerance decision takes no ``tol``.
+
+    rank_tol    relative singular-value cutoff: Krylov ranks and the
+                semi-simplicity test (validate_minimal, distance_to_stability),
+                D^H + D invertible (build_symplectic), the closed-loop solve
+                (closed_loop), the phase pivot of canonical_form
+    psd_tol     relative definiteness dead band: cholesky, classify_certificate,
+                verify_normalized, the positivity test of frequency_scan, the
+                feasibility band of refine_distance
+    eig_tol     relative width of the top eigenspace in minimize_gamma
+    circle_tol  dead band around the unit circle: asymptotic stability and
+                the peripheral band of validate_minimal, asymptotic stability
+                in distance_to_stability, unimodular pencil eigenvalues
+                (frequency_scan, extremal_solutions)
+    golden_tol  golden-section bracket width (minimize_gamma), also a floor on
+                its top-eigenspace width
+    bisect_tau  default bracket width of xi_sup_bisection, xi_sup_eigenvalue
+                and constrained_distance; the feasibility band of refine_distance
     """
 
     rank_tol: float = 1e-10
@@ -53,17 +66,10 @@ class Tolerances:
     bisect_tau: float = 1e-8
 
     def __post_init__(self):
-        for name in (
-            "rank_tol",
-            "psd_tol",
-            "eig_tol",
-            "circle_tol",
-            "golden_tol",
-            "bisect_tau",
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (np.isfinite(value) and value > 0.0):
-                raise DomainError(f"tolerance {name} must be finite and > 0, got {value}")
+                raise DomainError(f"tolerance {field.name} must be finite and > 0, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -87,7 +93,7 @@ def hermitian_part(M) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def _check_hermitian(H, tol: Tolerances, name="matrix") -> np.ndarray:
+def _check_hermitian(H, name="matrix") -> np.ndarray:
     A = as_complex_matrix(H, name)
     if A.shape[0] != A.shape[1]:
         raise DomainError(f"{name} must be square, got {A.shape}")
@@ -98,26 +104,26 @@ def _check_hermitian(H, tol: Tolerances, name="matrix") -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def hermitian_eig(H, tol: Tolerances = DEFAULT_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, V) with real eigenvalues ``w`` ascending and orthonormal
     columns of ``V``, such that H V = V diag(w).
     """
-    A = _check_hermitian(H, tol, "hermitian_eig input")
+    A = _check_hermitian(H, "hermitian_eig input")
     w, V = np.linalg.eigh(A)
     return w, V
 
 
-def lambda_min(H, tol: Tolerances = DEFAULT_TOL) -> float:
+def lambda_min(H) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eig(H, tol)
+    w, _ = hermitian_eig(H)
     return float(w[0])
 
 
-def lambda_max(H, tol: Tolerances = DEFAULT_TOL) -> float:
+def lambda_max(H) -> float:
     """Largest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eig(H, tol)
+    w, _ = hermitian_eig(H)
     return float(w[-1])
 
 
@@ -146,9 +152,9 @@ def cholesky(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Raises DefinitenessError (carrying lambda_min) when H is not positive
     definite beyond the psd_tol dead band.
     """
-    A = _check_hermitian(H, tol, "cholesky input")
+    A = _check_hermitian(H, "cholesky input")
     scale = max(spectral_norm(A), 1.0)
-    lam = lambda_min(A, tol)
+    lam = lambda_min(A)
     if lam <= tol.psd_tol * scale:
         raise DefinitenessError(
             f"matrix is not positive definite: lambda_min = {lam:.6e} "

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -66,13 +65,14 @@ class Certificate:
 
 
 def _check_X(model: StateSpaceModel, X) -> np.ndarray:
-    Xh = hermitian_part(as_complex_matrix(np.atleast_2d(X), "X"))
-    if Xh.shape != (model.n, model.n):
-        raise DomainError(f"X must be {model.n}x{model.n}, got {Xh.shape}")
-    return Xh
+    """Hermitian part of a candidate certificate, checked to be n x n."""
+    Xc = as_complex_matrix(np.atleast_2d(X), "X")
+    if Xc.shape != (model.n, model.n):
+        raise DomainError(f"X must be {model.n}x{model.n}, got {Xc.shape}")
+    return hermitian_part(Xc)
 
 
-def build_W(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_W(model: StateSpaceModel, X) -> np.ndarray:
     """The (n+m) certificate matrix W(X), exactly Hermitian."""
     Xh = _check_X(model, X)
     A, B, C, D = model.A, model.B, model.C, model.D
@@ -85,7 +85,7 @@ def build_W(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     return hermitian_part(W)
 
 
-def build_What(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_What(model: StateSpaceModel, X) -> np.ndarray:
     """The bordered (2n+m) form with an X^{-1} leading block (needs X > 0)."""
     Xh = _check_X(model, X)
     try:
@@ -103,7 +103,7 @@ def build_What(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> np.n
     return hermitian_part(What)
 
 
-def build_Wtilde(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_Wtilde(model: StateSpaceModel, X) -> np.ndarray:
     """The inversion-free bordered (2n+m) form, congruent to diag(X, W(X))."""
     Xh = _check_X(model, X)
     A, B, C, D = model.A, model.B, model.C, model.D
@@ -170,9 +170,9 @@ def classify_certificate(
     Outside:   anything else
     """
     Xh = _check_X(model, X)
-    W = build_W(model, Xh, tol)
-    wmin = float(hermitian_eig(W, tol)[0][0])
-    xmin = float(hermitian_eig(Xh, tol)[0][0])
+    W = build_W(model, Xh)
+    wmin = float(hermitian_eig(W)[0][0])
+    xmin = float(hermitian_eig(Xh)[0][0])
     w_scale = max(spectral_norm(W), 1.0)
     x_scale = max(spectral_norm(Xh), 1.0)
     x_pd = xmin > tol.psd_tol * x_scale

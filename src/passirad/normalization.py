@@ -20,17 +20,15 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
 from .kernels import (
     DEFAULT_TOL,
     Tolerances,
     cholesky,
     hermitian_eig,
-    hermitian_part,
     spectral_norm,
     svd,
 )
-from .kyp import build_W
+from .kyp import _check_X, build_W
 from .system_model import StateSpaceModel
 
 __all__ = [
@@ -59,9 +57,7 @@ def normalize(
     model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL
 ) -> NormalizedRealization:
     """Transform by the upper-triangular Cholesky factor T of X (X = T^H T)."""
-    Xh = hermitian_part(np.atleast_2d(np.asarray(X, dtype=np.complex128)))
-    if Xh.shape != (model.n, model.n):
-        raise DomainError(f"X must be {model.n}x{model.n}, got {Xh.shape}")
+    Xh = _check_X(model, X)
     T = cholesky(Xh, tol)
     Tinv = scipy.linalg.solve_triangular(T, np.eye(model.n), lower=False)
     transformed = StateSpaceModel(
@@ -129,7 +125,7 @@ def verify_normalized(
     the flag is True when that matrix is positive semidefinite within the
     psd_tol dead band (which also forces ||A|| <= 1 up to the same band).
     """
-    W = build_W(model, np.eye(model.n), tol)
-    lam = float(hermitian_eig(W, tol)[0][0])
+    W = build_W(model, np.eye(model.n))
+    lam = float(hermitian_eig(W)[0][0])
     scale = max(spectral_norm(W), 1.0)
     return lam >= -tol.psd_tol * scale, lam

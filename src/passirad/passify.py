@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, DomainError
+from .errors import ConvergenceError, DomainError
 from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix, hermitian_eig, lambda_min
 from .kyp import (
     Certificate,
@@ -25,7 +25,7 @@ from .kyp import (
     perturbation_frame,
 )
 from .riccati import extremal_solutions
-from .system_model import StateSpaceModel, validate_minimal
+from .system_model import StateSpaceModel, _semi_simple, validate_minimal
 from .xi import ShiftDirection, frequency_scan, shift_model
 
 __all__ = [
@@ -148,13 +148,11 @@ def _ball_projection(delta: np.ndarray, sigma: float, norm: str) -> np.ndarray:
     return (U * np.minimum(s, sigma)) @ V.conj().T
 
 
-def _psd_readback(
-    delta: np.ndarray, What0: np.ndarray, frame, n: int, tol: Tolerances
-) -> np.ndarray:
+def _psd_readback(delta: np.ndarray, What0: np.ndarray, frame, n: int) -> np.ndarray:
     """Clip the assembled certificate matrix to the PSD cone and read the
     perturbation blocks back through the embedding frame."""
     G = What0 + apply_perturbation(frame, delta)
-    w, V = hermitian_eig(G, tol)
+    w, V = hermitian_eig(G)
     Gplus = (V * np.maximum(w, 0.0)) @ V.conj().T
     diff = Gplus - What0
     nm = delta.shape[0]
@@ -174,7 +172,6 @@ def refine_distance(
     norm: str = "2",
     budget: int = 2000,
     tol: Tolerances = DEFAULT_TOL,
-    feas_tol: Optional[float] = None,
 ) -> Tuple[np.ndarray, float, bool]:
     """Shrink a feasible perturbation at a fixed certificate.
 
@@ -192,12 +189,12 @@ def refine_distance(
     if delta0.shape != (nm, nm):
         raise DomainError(f"delta0 must be {nm}x{nm}, got {delta0.shape}")
     frame = perturbation_frame(model.n, model.m)
-    What0 = build_What(model, X, tol)
+    What0 = build_What(model, X)
     scale = max(1.0, float(np.linalg.norm(What0, 2)))
-    band = (max(tol.psd_tol, 10.0 * tol.bisect_tau) if feas_tol is None else float(feas_tol)) * scale
+    band = max(tol.psd_tol, 10.0 * tol.bisect_tau) * scale
 
     def defect(delta: np.ndarray) -> float:
-        return -min(0.0, lambda_min(What0 + apply_perturbation(frame, delta), tol))
+        return -min(0.0, lambda_min(What0 + apply_perturbation(frame, delta)))
 
     if defect(delta0) > band:
         raise DomainError(
@@ -228,7 +225,7 @@ def refine_distance(
                 stall += 1
                 if stall >= 50:
                     break
-            z = _psd_readback(y + q, What0, frame, model.n, tol)
+            z = _psd_readback(y + q, What0, frame, model.n)
             q = y + q - z
             x = z
         return None, used
@@ -254,9 +251,7 @@ def refine_distance(
     return best, _norm_of(best, norm), converged
 
 
-def distance_to_stability(
-    A, tau: float = DEFAULT_TOL.bisect_tau, tol: Tolerances = DEFAULT_TOL
-) -> StabilityDistance:
+def distance_to_stability(A, tol: Tolerances = DEFAULT_TOL) -> StabilityDistance:
     """Infimal xi >= 0 with A/(1+xi) stable: max(0, rho(A) - 1).
 
     The infimum is attained iff the peripheral eigenvalues are
@@ -271,26 +266,9 @@ def distance_to_stability(
     if rho < 1.0 - tol.circle_tol:
         return StabilityDistance(0.0, True, 0.0, rho)
     # defective eigenvalues split numerically by roughly eps^(1/order), so
-    # cluster and rank thresholds must be at least that coarse
-    ctol = max(1e-8, 10.0 * np.finfo(float).eps ** (1.0 / M.shape[0])) * max(rho, 1.0)
-    peripheral = eigs[np.abs(np.abs(eigs) - rho) <= ctol]
-    semi_simple = True
-    handled = np.zeros(peripheral.shape[0], dtype=bool)
-    for i in range(peripheral.shape[0]):
-        if handled[i]:
-            continue
-        cluster = np.abs(peripheral - peripheral[i]) <= ctol
-        handled |= cluster
-        alg = int(np.count_nonzero(cluster))
-        lam = complex(np.mean(peripheral[cluster]))
-        s = np.linalg.svd(M - lam * np.eye(M.shape[0]), compute_uv=False)
-        thresh = max(tol.rank_tol * max(s[0], 1.0), 10.0 * ctol)
-        rank = int(np.count_nonzero(s > thresh))
-        geo = M.shape[0] - rank
-        if geo < alg:
-            semi_simple = False
-            break
-    return StabilityDistance(xi, semi_simple, xi / (1.0 + xi), rho)
+    # the band of peripheral eigenvalues must be at least that coarse
+    band = max(1e-8, 10.0 * np.finfo(float).eps ** (1.0 / M.shape[0])) * max(rho, 1.0)
+    return StabilityDistance(xi, _semi_simple(M, eigs, rho, band, tol.rank_tol), xi / (1.0 + xi), rho)
 
 
 def analyze_distance(

@@ -15,7 +15,7 @@ the Frobenius norm, and the radius is rho = 1 / lambda_star.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +32,7 @@ from .kernels import (
 )
 from .kyp import (
     CertificateKind,
+    PerturbationFrame,
     apply_perturbation,
     build_What,
     classify_certificate,
@@ -109,7 +110,7 @@ def _balanced_top_eigenvector(
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Top eigenvector of the Hermitian Gram companion, chosen inside the top
     eigenspace so that its two k-blocks have equal norm, then block-normalized."""
-    w, V = hermitian_eig(M, tol)
+    w, V = hermitian_eig(M)
     lam = float(w[-1])
     scale = max(abs(lam), 1.0)
     # the search places gamma within golden_tol of the minimizer, where
@@ -158,7 +159,7 @@ def minimize_gamma(F1, F2, tol: Tolerances = DEFAULT_TOL) -> GammaSearch:
     G2 = A2 @ A2.conj().T
 
     def objective(g: float) -> float:
-        w, _ = hermitian_eig(g * g * G1 + G2 / (g * g), tol)
+        w, _ = hermitian_eig(g * g * G1 + G2 / (g * g))
         return float(w[-1])
 
     width = max(tol.golden_tol, 1e-14 * (hi - lo))
@@ -182,6 +183,18 @@ def minimize_gamma(F1, F2, tol: Tolerances = DEFAULT_TOL) -> GammaSearch:
     )
 
 
+def _bordered_frames(
+    model: StateSpaceModel, X: np.ndarray, tol: Tolerances
+) -> Tuple[np.ndarray, PerturbationFrame, np.ndarray, np.ndarray]:
+    """What(X) = R^H R, the embedding frame, and F1 = R^{-H} E1, F2 = R^{-H} E2."""
+    What = build_What(model, X)
+    R = cholesky(What, tol)
+    frame = perturbation_frame(model.n, model.m)
+    F1 = scipy.linalg.solve_triangular(R, frame.E1.astype(np.complex128), trans="C", lower=False)
+    F2 = scipy.linalg.solve_triangular(R, frame.E2.astype(np.complex128), trans="C", lower=False)
+    return What, frame, F1, F2
+
+
 def x_passivity_radius(
     model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL
 ) -> RadiusReport:
@@ -200,11 +213,7 @@ def x_passivity_radius(
             f"(lambda_min W = {cert.lambda_min_W:.6e})",
             lambda_min=cert.lambda_min_W,
         )
-    What = build_What(model, cert.X, tol)
-    R = cholesky(What, tol)
-    frame = perturbation_frame(model.n, model.m)
-    F1 = scipy.linalg.solve_triangular(R, frame.E1.astype(np.complex128), trans="C", lower=False)
-    F2 = scipy.linalg.solve_triangular(R, frame.E2.astype(np.complex128), trans="C", lower=False)
+    What, frame, F1, F2 = _bordered_frames(model, cert.X, tol)
     search = minimize_gamma(F1, F2, tol)
 
     rho = 1.0 / search.lambda_star
@@ -218,7 +227,7 @@ def x_passivity_radius(
     overlap = float(np.abs(U2[:, 0].conj() @ U1[:, 0]))
     ab = search.alpha * search.beta
     ds = frame.Ds
-    wds, _ = hermitian_eig(ds @ What @ ds, tol)
+    wds, _ = hermitian_eig(ds @ What @ ds)
     return RadiusReport(
         rho=float(rho),
         search=search,
@@ -232,7 +241,7 @@ def x_passivity_radius(
     )
 
 
-def dual_certificate(search: GammaSearch, tol: Tolerances = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
+def dual_certificate(search: GammaSearch) -> Tuple[np.ndarray, float]:
     """Unitary Q with Q v = u and Q^H u = v, certifying the radius from below.
 
     For any unitary Q, || F1 Q F2^H + F2 Q^H F1^H || is at most lambda_star;
@@ -273,11 +282,7 @@ def geometric_mean_estimate(
     from the identity-certificate factorization.  Returns (est, gamma_gm);
     est >= lambda_star always, so 1/est is a lower bound for the radius.
     """
-    What = build_What(model, np.eye(model.n), tol)
-    R = cholesky(What, tol)
-    frame = perturbation_frame(model.n, model.m)
-    N1 = scipy.linalg.solve_triangular(R, frame.E1.astype(np.complex128), trans="C", lower=False)
-    N2 = scipy.linalg.solve_triangular(R, frame.E2.astype(np.complex128), trans="C", lower=False)
+    _, _, N1, N2 = _bordered_frames(model, np.eye(model.n), tol)
     a = spectral_norm(N1)
     b = spectral_norm(N2)
     if a <= 0.0 or b <= 0.0:

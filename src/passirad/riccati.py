@@ -29,6 +29,7 @@ import scipy.linalg
 
 from .errors import ConditioningError, DomainError, SpectralSplittingError
 from .kernels import DEFAULT_TOL, Tolerances, hermitian_part
+from .kyp import _check_X
 from .system_model import StateSpaceModel
 
 __all__ = [
@@ -47,18 +48,14 @@ _MAX_SUBSPACE_COND = 1e10
 
 @dataclass(frozen=True)
 class SymplecticPencil:
-    """Pencil data for the spectral-density zeros of one model.
+    """Reduced pencil data for the spectral-density zeros of one model.
 
     L, K     2n x 2n factors of z L - K (None when D^H + D is singular)
-    K_ext    (2n+m) extended pencil factors, always present, zeros of Phi
-    L_ext    are the finite eigenvalues of z L_ext - K_ext
     reduced_available  whether L, K could be formed
     """
 
     L: Optional[np.ndarray]
     K: Optional[np.ndarray]
-    K_ext: np.ndarray
-    L_ext: np.ndarray
     reduced_available: bool
 
 
@@ -102,29 +99,26 @@ def extended_pencil(model: StateSpaceModel) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def build_symplectic(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> SymplecticPencil:
-    """Assemble the extended pencil and, when well posed, the reduced one.
+    """Assemble the reduced 2n pencil when it is well posed.
 
-    The reduced 2n factors need D^H + D invertible at rank_tol; when it is
-    not, the result is flagged pencil-only and carries just the extended
-    factors.  No hard error is raised for either degeneracy.
+    The reduced factors need D^H + D invertible at rank_tol; when it is
+    not, the result is flagged unavailable and carries no factors
+    (extended_pencil needs no inversion).  No hard error is raised.
     """
     A, B, C, D = model.A, model.B, model.C, model.D
     n = model.n
-    K_ext, L_ext = extended_pencil(model)
     G_mat = D.conj().T + D
     s = np.linalg.svd(G_mat, compute_uv=False)
     invertible = s.size > 0 and s[-1] > tol.rank_tol * max(s[0], 1.0)
     if not invertible:
-        return SymplecticPencil(
-            L=None, K=None, K_ext=K_ext, L_ext=L_ext, reduced_available=False
-        )
+        return SymplecticPencil(L=None, K=None, reduced_available=False)
     G = np.linalg.inv(G_mat)
     A0 = A - B @ G @ C
     I = np.eye(n, dtype=np.complex128)
     Zn = np.zeros((n, n), dtype=np.complex128)
     L = np.block([[I, B @ G @ B.conj().T], [Zn, A0.conj().T]])
     K = np.block([[A0, Zn], [C.conj().T @ G @ C, I]])
-    return SymplecticPencil(L=L, K=K, K_ext=K_ext, L_ext=L_ext, reduced_available=True)
+    return SymplecticPencil(L=L, K=K, reduced_available=True)
 
 
 def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
@@ -196,7 +190,7 @@ def extremal_solutions(
     if not pencil.reduced_available:
         raise DomainError(
             "D^H + D is singular at rank_tol; extremal solutions need the "
-            "reduced pencil (pencil-only data is available via build_symplectic)"
+            "reduced pencil (the extended pencil is available via extended_pencil)"
         )
     K, L = pencil.K, pencil.L
     n = model.n
@@ -224,11 +218,9 @@ def extremal_solutions(
     )
 
 
-def riccati_residual(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> float:
+def riccati_residual(model: StateSpaceModel, X) -> float:
     """Frobenius norm of Ricc(X)."""
-    Xh = hermitian_part(np.atleast_2d(np.asarray(X, dtype=np.complex128)))
-    if Xh.shape != (model.n, model.n):
-        raise DomainError(f"X must be {model.n}x{model.n}, got {Xh.shape}")
+    Xh = _check_X(model, X)
     A, B, C, D = model.A, model.B, model.C, model.D
     R22 = D.conj().T + D - B.conj().T @ Xh @ B
     R12 = C.conj().T - A.conj().T @ Xh @ B
@@ -245,9 +237,7 @@ def closed_loop(
     model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Feedback F = (D^H + D - B^H X B)^{-1}(C - B^H X A) and A_F = A - B F."""
-    Xh = hermitian_part(np.atleast_2d(np.asarray(X, dtype=np.complex128)))
-    if Xh.shape != (model.n, model.n):
-        raise DomainError(f"X must be {model.n}x{model.n}, got {Xh.shape}")
+    Xh = _check_X(model, X)
     A, B, C, D = model.A, model.B, model.C, model.D
     R22 = D.conj().T + D - B.conj().T @ Xh @ B
     s = np.linalg.svd(R22, compute_uv=False)

@@ -143,7 +143,7 @@ def xi_star(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> float:
     mt = realization.model
     Wt = build_Wtilde(mt, np.eye(mt.n))
     Ds = perturbation_frame(mt.n, mt.m).Ds
-    return lambda_min(Ds @ Wt @ Ds, tol)
+    return lambda_min(Ds @ Wt @ Ds)
 
 
 def _safe_frequency(model: StateSpaceModel) -> float:
@@ -180,9 +180,9 @@ def _circle_zero_frequencies(model: StateSpaceModel, tol: Tolerances) -> np.ndar
     return np.asarray(keep)
 
 
-def _phi_lambda_min(model: StateSpaceModel, omega: float, tol: Tolerances) -> Tuple[float, float]:
-    Phi = phi_eval(model, omega, tol)
-    w, _ = hermitian_eig(Phi, tol)
+def _phi_lambda_min(model: StateSpaceModel, omega: float) -> Tuple[float, float]:
+    Phi = phi_eval(model, omega)
+    w, _ = hermitian_eig(Phi)
     return float(w[0]), float(max(np.abs(w[0]), np.abs(w[-1]), 1.0))
 
 
@@ -203,7 +203,7 @@ def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> Fre
     violations: List[Tuple[float, float, float]] = []
     if zeros.size == 0:
         om = _safe_frequency(model)
-        lam, scale = _phi_lambda_min(model, om, tol)
+        lam, scale = _phi_lambda_min(model, om)
         if lam > 0.0:
             return FrequencyScan(True, rho_a, (), (), True, True)
         violations.append((om, _TWO_PI, lam))
@@ -214,7 +214,7 @@ def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> Fre
         hi = oms[(i + 1) % oms.size] + (_TWO_PI if i + 1 == oms.size else 0.0)
         mid = np.mod(0.5 * (lo + hi), _TWO_PI)
         width = hi - lo
-        lam, scale = _phi_lambda_min(model, mid, tol)
+        lam, scale = _phi_lambda_min(model, mid)
         if lam < -tol.psd_tol * scale:
             violations.append((float(mid), float(width), lam))
     passive = not violations
@@ -261,9 +261,7 @@ def gamma_xi_omega(model: StateSpaceModel, xi: float, omega: float) -> float:
     return float(w[0])
 
 
-def xi_roots_at_omega(
-    model: StateSpaceModel, omega: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:
     """Ascending real roots in (0, 1) of the frequency-pinned shift pencil.
 
     The pencil Gamma0(omega) + xi*K(omega) is Hermitian with K^2 = I; its
@@ -386,7 +384,7 @@ def xi_sup_eigenvalue(
             om_hat = widest[0]
         else:
             om_hat = _safe_frequency(model)
-        roots = xi_roots_at_omega(model, om_hat, tol)
+        roots = xi_roots_at_omega(model, om_hat)
         below = roots[roots < xi_hat]
         upper = float(below.min()) if below.size else xi_hat
 

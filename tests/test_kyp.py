@@ -15,6 +15,9 @@ from passirad.kyp import (
     classify_certificate,
     perturbation_frame,
 )
+from passirad.normalization import normalize
+from passirad.riccati import closed_loop, riccati_residual
+from passirad.system_model import simulate_dissipation
 
 # eigenvalues of W(1) for {0.5, 1, 1, 1}: roots of t^2 - 1.75 t + 0.5,
 # i.e. (1.75 -+ sqrt(1.0625)) / 2
@@ -135,3 +138,27 @@ def test_classify_certificate_kinds(m0):
 def test_classify_rejects_non_positive_X(m0):
     cert = classify_certificate(m0, np.array([[-1.0]]))
     assert cert.kind is CertificateKind.OUTSIDE
+
+
+def _simulate_dissipation(model, X):
+    return simulate_dissipation(model, X, np.ones((model.m, 3)))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        build_W,
+        build_What,
+        build_Wtilde,
+        classify_certificate,
+        normalize,
+        riccati_residual,
+        closed_loop,
+        _simulate_dissipation,
+    ],
+    ids=lambda entry: entry.__name__.lstrip("_"),
+)
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
+def test_wrong_size_X_is_rejected_by_name(m0, entry, shape):
+    with pytest.raises(DomainError, match=r"X must be 1x1"):
+        entry(m0, np.ones(shape))

@@ -9,6 +9,7 @@ import pytest
 from passirad import StateSpaceModel, build_W
 from passirad.errors import DomainError
 from passirad.experiments import random_passive_system
+from passirad.passify import distance_to_stability
 from passirad.system_model import (
     phi_eval,
     simulate_dissipation,
@@ -60,6 +61,44 @@ def test_validate_minimal_distinguishes_marginal_from_unstable():
     unstable = StateSpaceModel([[1.5]], [[1.0]], [[1.0]], [[1.0]])
     rep = validate_minimal(unstable)
     assert not rep.stable and not rep.asymptotically_stable
+
+
+def _jordan(lam: complex, k: int) -> np.ndarray:
+    return lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
+
+
+def _similar(A: np.ndarray, seed: int) -> np.ndarray:
+    S = np.random.default_rng(seed).standard_normal(A.shape)
+    return S @ A @ np.linalg.inv(S)
+
+
+_ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
+@pytest.mark.parametrize(
+    "A, semi_simple",
+    [
+        (_jordan(1.0, 2), False),
+        (_jordan(-1.0, 3), False),
+        (_jordan(1j, 2), False),
+        (_similar(_jordan(1.0, 2), seed=1), False),
+        (_similar(_jordan(1.0, 3), seed=1), False),
+        (_similar(_jordan(1.0, 2), seed=3), False),
+        (_jordan(1.0, 8), False),
+        (_ROTATION, True),
+        (np.eye(2), True),
+        (np.diag([1.0, 1.0 - 1e-7]), True),
+    ],
+    ids=[
+        "J(1)", "J3(-1)", "J(i)", "SJS^-1 k=2", "SJS^-1 k=3", "SJS^-1 k=2 cond 124",
+        "J8(1)", "rotation", "diag(1,1)", "diag(1,1-1e-7)",
+    ],
+)
+def test_stability_flag_and_distance_to_stability_share_one_semi_simplicity_test(A, semi_simple):
+    k = A.shape[0]
+    model = StateSpaceModel(A, np.ones((k, 1)), np.ones((1, k)), np.eye(1))
+    assert validate_minimal(model).stable is semi_simple
+    assert distance_to_stability(A).attained is semi_simple
 
 
 def test_cached_spectrum_is_eig_of_A_and_read_only():

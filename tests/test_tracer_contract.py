@@ -1,0 +1,42 @@
+"""The benchmark's traced run can still resolve every span it reports.
+
+perfbench/tracing.py wraps each public function of the passirad layers and
+looks its per-layer metrics up by span name.  A deleted or renamed public
+function would make ``Tracer.metrics`` raise KeyError; this runs a tiny
+radius solve and ensemble under the tracer and computes every metric.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from passirad import experiments, radius
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_per_layer_metric_resolves_and_the_ensemble_solves_once(m0):
+    tracing = _load_tracing()
+    originals = (radius.x_passivity_radius, experiments.ensemble_experiment)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # through the module attributes the tracer patched
+        radius.x_passivity_radius(m0, np.eye(1))
+        result = experiments.ensemble_experiment(2, 2, 1, seed=1)
+    finally:
+        tracer.uninstall()
+    assert (radius.x_passivity_radius, experiments.ensemble_experiment) == originals
+    assert len(result.rows) + result.skipped == 2
+    metrics = tracer.metrics(ops=2, overhead_ratio=1.0)
+    assert list(metrics) == [name for name, *_ in tracing.PER_LAYER]
+    assert all(np.isfinite(v) for v in metrics.values())
+    assert metrics["experiments.radius_solves_per_sample"] == 1.0
