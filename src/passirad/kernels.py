@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels and the shared tolerance bundle.
 
-Every eigenvalue / singular value / Cholesky query in the package goes
-through these wrappers so that validation, ordering conventions and
-error types are uniform.  All extreme-eigenvalue queries use full
-Hermitian eigendecompositions: the matrices are small and simplicity
-wins over iterative shortcuts.
+The Hermitian matrices the package builds itself (W, What, Wtilde, Phi, the
+Gram companions of the radius search) are Hermitian by construction, so they
+go straight to LAPACK without a copy or a check; only their lower triangle is
+read.  Extreme-eigenvalue queries and the psd_tol dead band are values-only
+(``eigvalsh``); ``hermitian_eig`` is the validated eigendecomposition for
+matrices from outside the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_part",
     "hermitian_eig",
+    "psd_margin",
     "lambda_min",
     "lambda_max",
     "spectral_norm",
@@ -44,9 +46,10 @@ class Tolerances:
                 semi-simplicity test (validate_minimal, distance_to_stability),
                 D^H + D invertible (build_symplectic), the closed-loop solve
                 (closed_loop), the phase pivot of canonical_form
-    psd_tol     relative definiteness dead band: cholesky, classify_certificate,
-                verify_normalized, the positivity test of frequency_scan, the
-                feasibility band of refine_distance
+    psd_tol     relative definiteness dead band, against the scale of
+                psd_margin: cholesky, classify_certificate, verify_normalized,
+                the positivity test of frequency_scan, the feasibility band
+                of refine_distance
     eig_tol     relative width of the top eigenspace in minimize_gamma
     circle_tol  dead band around the unit circle: asymptotic stability and
                 the peripheral band of validate_minimal, asymptotic stability
@@ -93,38 +96,45 @@ def hermitian_part(M) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def _check_hermitian(H, name="matrix") -> np.ndarray:
-    A = as_complex_matrix(H, name)
-    if A.shape[0] != A.shape[1]:
-        raise DomainError(f"{name} must be square, got {A.shape}")
-    scale = max(np.abs(A).max(), 1.0)
-    skew = np.abs(A - A.conj().T).max()
-    if skew > 1e-8 * scale:
-        raise DomainError(f"{name} is not Hermitian: asymmetry {skew:.3e} at scale {scale:.3e}")
-    return 0.5 * (A + A.conj().T)
-
-
 def hermitian_eig(H) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix given from outside the package.
 
-    Returns (w, V) with real eigenvalues ``w`` ascending and orthonormal
-    columns of ``V``, such that H V = V diag(w).
+    Rejects input that is not square, not finite or not Hermitian (asymmetry
+    above 1e-8 of its largest entry); only the lower triangle of an accepted
+    matrix is read.  Returns (w, V) with real eigenvalues ``w`` ascending and
+    orthonormal columns of ``V``, such that H V = V diag(w).
     """
-    A = _check_hermitian(H, "hermitian_eig input")
-    w, V = np.linalg.eigh(A)
-    return w, V
+    A = as_complex_matrix(H, "hermitian_eig input")
+    if A.shape[0] != A.shape[1]:
+        raise DomainError(f"hermitian_eig input must be square, got {A.shape}")
+    scale = max(np.abs(A).max(initial=0.0), 1.0)
+    skew = np.abs(A - A.conj().T).max(initial=0.0)
+    if skew > 1e-8 * scale:
+        raise DomainError(
+            f"hermitian_eig input is not Hermitian: asymmetry {skew:.3e} at scale {scale:.3e}"
+        )
+    return np.linalg.eigh(A)
+
+
+def psd_margin(H) -> Tuple[float, float]:
+    """(lambda_min, scale) of a Hermitian matrix from one values-only eigensolve.
+
+    ``scale`` is max(|lambda|, 1), i.e. max(||H||_2, 1): every psd_tol dead
+    band compares lambda_min against psd_tol * scale.  H must be Hermitian;
+    only its lower triangle is read.
+    """
+    w = np.linalg.eigvalsh(H)
+    return float(w[0]), float(max(-w[0], w[-1], 1.0))
 
 
 def lambda_min(H) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eig(H)
-    return float(w[0])
+    """Smallest eigenvalue of a Hermitian H, values only; reads its lower triangle."""
+    return float(np.linalg.eigvalsh(H)[0])
 
 
 def lambda_max(H) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eig(H)
-    return float(w[-1])
+    """Largest eigenvalue of a Hermitian H, values only; reads its lower triangle."""
+    return float(np.linalg.eigvalsh(H)[-1])
 
 
 def spectral_norm(M) -> float:
@@ -149,20 +159,18 @@ def svd(M) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def cholesky(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Upper-triangular factor T with positive real diagonal and H = T^H T.
 
-    Raises DefinitenessError (carrying lambda_min) when H is not positive
-    definite beyond the psd_tol dead band.
+    H must be Hermitian; only its lower triangle is read.  Raises
+    DefinitenessError (carrying lambda_min) when H is not positive definite
+    beyond the psd_tol dead band of psd_margin.
     """
-    A = _check_hermitian(H, "cholesky input")
-    scale = max(spectral_norm(A), 1.0)
-    lam = lambda_min(A)
+    lam, scale = psd_margin(H)
     if lam <= tol.psd_tol * scale:
         raise DefinitenessError(
             f"matrix is not positive definite: lambda_min = {lam:.6e} "
             f"(threshold {tol.psd_tol * scale:.6e})",
             lambda_min=lam,
         )
-    L = np.linalg.cholesky(A)
-    return L.conj().T
+    return np.linalg.cholesky(H).conj().T
 
 
 def golden_section_min(

@@ -29,9 +29,8 @@ from .kernels import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
-    hermitian_eig,
     hermitian_part,
-    spectral_norm,
+    psd_margin,
 )
 from .system_model import StateSpaceModel
 
@@ -165,16 +164,16 @@ def classify_certificate(
 ) -> Certificate:
     """Classify X against the certificate LMI with a psd_tol dead band.
 
-    Interior:  X > 0 and lambda_min W(X) >  psd_tol * ||W||
-    Boundary:  X > 0 and |lambda_min W(X)| <= psd_tol * ||W||
+    Interior:  X > 0 and lambda_min W(X) >  psd_tol * max(||W||, 1)
+    Boundary:  X > 0 and |lambda_min W(X)| <= psd_tol * max(||W||, 1)
     Outside:   anything else
+
+    X > 0 carries the same dead band, psd_tol * max(||X||, 1).
     """
     Xh = _check_X(model, X)
     W = build_W(model, Xh)
-    wmin = float(hermitian_eig(W)[0][0])
-    xmin = float(hermitian_eig(Xh)[0][0])
-    w_scale = max(spectral_norm(W), 1.0)
-    x_scale = max(spectral_norm(Xh), 1.0)
+    wmin, w_scale = psd_margin(W)
+    xmin, x_scale = psd_margin(Xh)
     x_pd = xmin > tol.psd_tol * x_scale
     if x_pd and wmin > tol.psd_tol * w_scale:
         kind = CertificateKind.INTERIOR

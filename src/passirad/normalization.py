@@ -24,8 +24,7 @@ from .kernels import (
     DEFAULT_TOL,
     Tolerances,
     cholesky,
-    hermitian_eig,
-    spectral_norm,
+    psd_margin,
     svd,
 )
 from .kyp import _check_X, build_W
@@ -126,6 +125,5 @@ def verify_normalized(
     psd_tol dead band (which also forces ||A|| <= 1 up to the same band).
     """
     W = build_W(model, np.eye(model.n))
-    lam = float(hermitian_eig(W)[0][0])
-    scale = max(spectral_norm(W), 1.0)
+    lam, scale = psd_margin(W)
     return lam >= -tol.psd_tol * scale, lam

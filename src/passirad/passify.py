@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix, hermitian_eig, lambda_min
+from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix, lambda_min, psd_margin
 from .kyp import (
     Certificate,
     apply_perturbation,
@@ -152,7 +152,7 @@ def _psd_readback(delta: np.ndarray, What0: np.ndarray, frame, n: int) -> np.nda
     """Clip the assembled certificate matrix to the PSD cone and read the
     perturbation blocks back through the embedding frame."""
     G = What0 + apply_perturbation(frame, delta)
-    w, V = hermitian_eig(G)
+    w, V = np.linalg.eigh(G)
     Gplus = (V * np.maximum(w, 0.0)) @ V.conj().T
     diff = Gplus - What0
     nm = delta.shape[0]
@@ -190,7 +190,7 @@ def refine_distance(
         raise DomainError(f"delta0 must be {nm}x{nm}, got {delta0.shape}")
     frame = perturbation_frame(model.n, model.m)
     What0 = build_What(model, X)
-    scale = max(1.0, float(np.linalg.norm(What0, 2)))
+    _, scale = psd_margin(What0)
     band = max(tol.psd_tol, 10.0 * tol.bisect_tau) * scale
 
     def defect(delta: np.ndarray) -> float:

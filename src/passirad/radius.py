@@ -27,7 +27,8 @@ from .kernels import (
     as_complex_matrix,
     cholesky,
     golden_section_min,
-    hermitian_eig,
+    lambda_max,
+    lambda_min,
     spectral_norm,
 )
 from .kyp import (
@@ -100,9 +101,7 @@ def gamma_objective(F1, F2, gamma: float) -> float:
     g = float(gamma)
     if not (np.isfinite(g) and g > 0.0):
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    M = g * g * (A1 @ A1.conj().T) + (A2 @ A2.conj().T) / (g * g)
-    w, _ = hermitian_eig(M)
-    return float(w[-1])
+    return lambda_max(g * g * (A1 @ A1.conj().T) + (A2 @ A2.conj().T) / (g * g))
 
 
 def _balanced_top_eigenvector(
@@ -110,7 +109,7 @@ def _balanced_top_eigenvector(
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Top eigenvector of the Hermitian Gram companion, chosen inside the top
     eigenspace so that its two k-blocks have equal norm, then block-normalized."""
-    w, V = hermitian_eig(M)
+    w, V = np.linalg.eigh(M)
     lam = float(w[-1])
     scale = max(abs(lam), 1.0)
     # the search places gamma within golden_tol of the minimizer, where
@@ -159,8 +158,7 @@ def minimize_gamma(F1, F2, tol: Tolerances = DEFAULT_TOL) -> GammaSearch:
     G2 = A2 @ A2.conj().T
 
     def objective(g: float) -> float:
-        w, _ = hermitian_eig(g * g * G1 + G2 / (g * g))
-        return float(w[-1])
+        return lambda_max(g * g * G1 + G2 / (g * g))
 
     width = max(tol.golden_tol, 1e-14 * (hi - lo))
     gamma_star, lam_star, evals = golden_section_min(objective, lo, hi, width)
@@ -226,8 +224,6 @@ def x_passivity_radius(
     U2, _, _ = np.linalg.svd(search.F2)
     overlap = float(np.abs(U2[:, 0].conj() @ U1[:, 0]))
     ab = search.alpha * search.beta
-    ds = frame.Ds
-    wds, _ = hermitian_eig(ds @ What @ ds)
     return RadiusReport(
         rho=float(rho),
         search=search,
@@ -237,7 +233,7 @@ def x_passivity_radius(
         bound_upper_overlap=1.0 / ((1.0 + overlap) * ab),
         bound_upper=1.0 / ab,
         overlap=overlap,
-        ds_lower=float(wds[0]),
+        ds_lower=lambda_min(frame.Ds @ What @ frame.Ds),
     )
 
 

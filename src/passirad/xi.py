@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DefinitenessError, DomainError
-from .kernels import DEFAULT_TOL, Tolerances, hermitian_eig, lambda_min
+from .kernels import DEFAULT_TOL, Tolerances, lambda_min, psd_margin
 from .kyp import CertificateKind, build_Wtilde, classify_certificate, perturbation_frame
 from .normalization import normalize
 from .riccati import extremal_solutions, pencil_eigenvalues
@@ -97,25 +97,26 @@ def shift_model(
     xi: float,
     direction: ShiftDirection = ShiftDirection.FORWARD,
 ) -> ShiftedModel:
-    """Forward: {A,B,C,D-xi*I}/(1-xi); backward: {A,B,C,D+xi*I}/(1+xi)."""
+    """Forward: {A,B,C,D-xi*I}/(1-xi); backward: {A,B,C,D+xi*I}/(1+xi).
+
+    A backward shift by xi is the forward shift by -xi, and both are
+    computed by the forward formula.
+    """
     x = float(xi)
     if not np.isfinite(x):
         raise DomainError(f"shift must be finite, got {xi}")
-    eye = np.eye(model.m)
     if direction is ShiftDirection.FORWARD:
         if x >= 1.0:
             raise DomainError(f"forward shift requires xi < 1, got {x}")
-        s = 1.0 - x
-        shifted = StateSpaceModel(
-            model.A / s, model.B / s, model.C / s, (model.D - x * eye) / s
-        )
+        f = x
     else:
         if x <= -1.0:
             raise DomainError(f"backward shift requires xi > -1, got {x}")
-        s = 1.0 + x
-        shifted = StateSpaceModel(
-            model.A / s, model.B / s, model.C / s, (model.D + x * eye) / s
-        )
+        f = -x
+    s = 1.0 - f
+    shifted = StateSpaceModel(
+        model.A / s, model.B / s, model.C / s, (model.D - f * np.eye(model.m)) / s
+    )
     return ShiftedModel(base=model, xi=x, direction=direction, model=shifted)
 
 
@@ -180,12 +181,6 @@ def _circle_zero_frequencies(model: StateSpaceModel, tol: Tolerances) -> np.ndar
     return np.asarray(keep)
 
 
-def _phi_lambda_min(model: StateSpaceModel, omega: float) -> Tuple[float, float]:
-    Phi = phi_eval(model, omega)
-    w, _ = hermitian_eig(Phi)
-    return float(w[0]), float(max(np.abs(w[0]), np.abs(w[-1]), 1.0))
-
-
 def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> FrequencyScan:
     """Classify a model's circle behavior: stability, spectral-function
     zeros, and the arcs on which positivity fails."""
@@ -203,7 +198,7 @@ def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> Fre
     violations: List[Tuple[float, float, float]] = []
     if zeros.size == 0:
         om = _safe_frequency(model)
-        lam, scale = _phi_lambda_min(model, om)
+        lam = lambda_min(phi_eval(model, om))
         if lam > 0.0:
             return FrequencyScan(True, rho_a, (), (), True, True)
         violations.append((om, _TWO_PI, lam))
@@ -214,7 +209,7 @@ def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> Fre
         hi = oms[(i + 1) % oms.size] + (_TWO_PI if i + 1 == oms.size else 0.0)
         mid = np.mod(0.5 * (lo + hi), _TWO_PI)
         width = hi - lo
-        lam, scale = _phi_lambda_min(model, mid)
+        lam, scale = psd_margin(phi_eval(model, mid))
         if lam < -tol.psd_tol * scale:
             violations.append((float(mid), float(width), lam))
     passive = not violations
@@ -257,8 +252,7 @@ def gamma_xi_omega(model: StateSpaceModel, xi: float, omega: float) -> float:
     G[n : 2 * n, 2 * n :] = model.C.conj().T
     G[2 * n :, n : 2 * n] = model.C
     G[2 * n :, 2 * n :] = model.D.conj().T + model.D - x * np.eye(m)
-    w, _ = hermitian_eig(G)
-    return float(w[0])
+    return lambda_min(G)
 
 
 def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:

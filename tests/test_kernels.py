@@ -14,6 +14,7 @@ from passirad.kernels import (
     hermitian_part,
     lambda_max,
     lambda_min,
+    psd_margin,
     spectral_norm,
     svd,
 )
@@ -69,6 +70,27 @@ def test_hermitian_eig_ascending_and_reconstructs():
     assert np.all(np.diff(w) >= 0)
     np.testing.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-12)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-12)
+
+
+def test_hermitian_eig_rejects_non_hermitian_input_and_accepts_empty():
+    with pytest.raises(DomainError, match="not Hermitian"):
+        hermitian_eig([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="square"):
+        hermitian_eig(np.ones((2, 3)))
+    with pytest.raises(DomainError, match="finite"):
+        hermitian_eig([[np.nan, 0.0], [0.0, 1.0]])
+    w, V = hermitian_eig(np.zeros((0, 0)))
+    assert w.shape == (0,) and V.shape == (0, 0)
+
+
+def test_psd_margin_is_lambda_min_and_the_spectral_norm_floored_at_one():
+    rng = np.random.default_rng(17)
+    H = hermitian_part(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    lam, scale = psd_margin(H)
+    assert lam == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-13)
+    assert scale == pytest.approx(max(np.linalg.norm(H, 2), 1.0), rel=1e-13)
+    assert psd_margin(np.diag([-3.0, 0.5])) == (-3.0, 3.0)
+    assert psd_margin(1e-3 * np.eye(2)) == (1e-3, 1.0)
 
 
 def test_lambda_min_max_on_known_spectrum():

@@ -6,6 +6,7 @@ import pytest
 
 from passirad import StateSpaceModel
 from passirad.errors import DefinitenessError, DomainError
+from passirad.kernels import DEFAULT_TOL, cholesky
 from passirad.kyp import (
     CertificateKind,
     apply_perturbation,
@@ -138,6 +139,28 @@ def test_classify_certificate_kinds(m0):
 def test_classify_rejects_non_positive_X(m0):
     cert = classify_certificate(m0, np.array([[-1.0]]))
     assert cert.kind is CertificateKind.OUTSIDE
+
+
+@pytest.mark.parametrize("side", [1.0 + 1e-3, 1.0 - 1e-3], ids=["above", "below"])
+def test_x_definiteness_verdicts_agree_at_the_band_edge(side):
+    # X = U diag(2, t) U^H sits a relative 1e-3 off the psd_tol dead band
+    # psd_tol * max(||X||, 1) = 2 psd_tol; with A = B = C = 0 and D = I/2,
+    # W(X) = diag(X, 1) is interior exactly when X > 0
+    rng = np.random.default_rng(8)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    t = 2.0 * DEFAULT_TOL.psd_tol * side
+    X = U @ np.diag([2.0, t]) @ U.conj().T
+    model = StateSpaceModel(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), [[0.5]])
+    expected = side > 1.0
+
+    assert (classify_certificate(model, X).kind is CertificateKind.INTERIOR) == expected
+    for factor in (cholesky, lambda H: normalize(model, H)):
+        try:
+            factor(X)
+            factored = True
+        except DefinitenessError:
+            factored = False
+        assert factored == expected
 
 
 def _simulate_dissipation(model, X):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from passirad import experiments, radius
+from passirad.experiments import random_passive_system
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +41,22 @@ def test_every_per_layer_metric_resolves_and_the_ensemble_solves_once(m0):
     assert list(metrics) == [name for name, *_ in tracing.PER_LAYER]
     assert all(np.isfinite(v) for v in metrics.values())
     assert metrics["experiments.radius_solves_per_sample"] == 1.0
+
+
+def test_a_radius_solve_makes_no_validated_eigensolves_and_two_with_vectors():
+    # eigenvalue queries and psd dead bands are values-only (np.linalg.eigvalsh,
+    # which the tracer does not wrap); eigenvectors are computed twice, for the
+    # top eigenspace of the Gram companion and its balancing; the SVD norms are
+    # alpha and beta
+    model = random_passive_system(5, 2, seed=3).model
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        radius.x_passivity_radius(model, np.eye(model.n))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(ops=1, overhead_ratio=1.0)
+    assert metrics["kernels.hermitian_eig.calls"] == 0
+    assert metrics["kernels.spectral_norm.calls"] == 2
+    assert metrics["lapack.eigh.calls"] == 2

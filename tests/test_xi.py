@@ -137,6 +137,16 @@ def test_shift_domain_limits(m0):
         shift_model(m0, -1.0, ShiftDirection.BACKWARD)
 
 
+def test_backward_shift_is_the_forward_shift_by_minus_xi():
+    model = random_passive_system(3, 2, seed=4).model
+    for xi in (0.3, 0.0, -0.5):
+        bwd = shift_model(model, xi, ShiftDirection.BACKWARD)
+        fwd = shift_model(model, -xi)
+        assert bwd.direction is ShiftDirection.BACKWARD and bwd.xi == xi
+        for name in ("A", "B", "C", "D"):
+            assert np.array_equal(getattr(bwd.model, name), getattr(fwd.model, name)), (xi, name)
+
+
 def test_shift_scaling_identity():
     # (1 -+ xi) Wtilde(X, shifted) = Wtilde(X, original) -+ xi diag(X, X, 2I)
     rng = np.random.default_rng(12)
