@@ -163,28 +163,24 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# (flag, Tolerances field, help) of the tolerance overrides every command takes
+_TOL_FLAGS = (
+    ("--tol-rank", "rank_tol", "rank decision tolerance"),
+    ("--tol-psd", "psd_tol", "semidefiniteness tolerance"),
+    ("--tol-eig", "eig_tol", "eigenvalue clustering tolerance"),
+    ("--tol-circle", "circle_tol", "unit-circle dead band"),
+    ("--tol-golden", "golden_tol", "scalar search interval width"),
+    ("--tol-bisect", "bisect_tau", "bisection bracket width"),
+)
+
+
 def _tolerances_from(args) -> Tolerances:
-    overrides = {}
-    mapping = {
-        "tol_rank": "rank_tol",
-        "tol_psd": "psd_tol",
-        "tol_eig": "eig_tol",
-        "tol_circle": "circle_tol",
-        "tol_golden": "golden_tol",
-        "tol_bisect": "bisect_tau",
+    overrides = {
+        field: getattr(args, field)
+        for _, field, _ in _TOL_FLAGS
+        if getattr(args, field) is not None
     }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field] = value
-    # xi --tau and passify --tau set the bisection width of that command
-    if getattr(args, "tau", None) is not None:
-        overrides["bisect_tau"] = args.tau
-    return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
-
-
-def _tolerances_dict(tol: Tolerances) -> dict:
-    return {f.name: getattr(tol, f.name) for f in dataclasses.fields(tol)}
+    return dataclasses.replace(DEFAULT_TOL, **overrides)
 
 
 def _resolve_certificate(model, file_X, args, tol) -> np.ndarray:
@@ -200,7 +196,7 @@ def _report(command: str, inputs: dict, tol: Tolerances, results: dict, warnings
     return {
         "command": command,
         "inputs": inputs,
-        "tolerances": _tolerances_dict(tol),
+        "tolerances": dataclasses.asdict(tol),
         "results": results,
         "warnings": warnings,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -288,8 +284,7 @@ def _cmd_radius(args, tol: Tolerances) -> dict:
 def _cmd_xi(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
     warnings: List[str] = []
-    tau = tol.bisect_tau
-    bis = xi_sup_bisection(model, tau, tol)
+    bis = xi_sup_bisection(model, tol=tol)
     results = {
         "bisection": {
             "xi_lo": bis.xi_lo,
@@ -299,14 +294,14 @@ def _cmd_xi(args, tol: Tolerances) -> dict:
         }
     }
     if bis.xi_hi > 0.0:
-        eig = xi_sup_eigenvalue(model, tau, tol)
+        eig = xi_sup_eigenvalue(model, tol=tol)
         results["eigenvalue"] = {
             "xi_lo": eig.xi_lo,
             "xi_hi": eig.xi_hi,
             "iterations": eig.iterations,
             "witness_frequencies": [float(w) for w in eig.witness_frequencies],
         }
-        results["agreement"] = abs(bis.xi_lo - eig.xi_lo) <= 2.0 * tau
+        results["agreement"] = abs(bis.xi_lo - eig.xi_lo) <= 2.0 * tol.bisect_tau
         try:
             X = optimal_certificate(model, bis.xi_lo, tol)
             results["xi_star_at_certificate"] = xi_star(model, X, tol)
@@ -322,7 +317,7 @@ def _cmd_passify(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
     warnings: List[str] = []
     norm = "fro" if args.norm == "fro" else "2"
-    report = analyze_distance(model, tol.bisect_tau, norm=norm, budget=args.budget, tol=tol)
+    report = analyze_distance(model, norm=norm, budget=args.budget, tol=tol)
     results = {
         "xi_big": report.xi_big,
         "constrained_norm2": float(np.linalg.norm(report.delta_constrained, 2)),
@@ -397,15 +392,8 @@ def _cmd_experiment(args, tol: Tolerances) -> Optional[dict]:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    for flag, help_text in (
-        ("--tol-rank", "rank decision tolerance"),
-        ("--tol-psd", "semidefiniteness tolerance"),
-        ("--tol-eig", "eigenvalue clustering tolerance"),
-        ("--tol-circle", "unit-circle dead band"),
-        ("--tol-golden", "scalar search interval width"),
-        ("--tol-bisect", "bisection bracket width"),
-    ):
-        common.add_argument(flag, type=float, default=None, help=help_text)
+    for flag, field, help_text in _TOL_FLAGS:
+        common.add_argument(flag, dest=field, type=float, default=None, help=help_text)
 
     parser = _Parser(prog="passirad", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -425,11 +413,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("xi", parents=[common], help="robustness margin by both procedures")
     p.add_argument("--model", required=True)
-    p.add_argument("--tau", type=float, default=None, help="bracket width target")
+    p.add_argument("--tau", dest="bisect_tau", type=float, default=None, help="bracket width target")
 
     p = sub.add_parser("passify", parents=[common], help="distance to passivity")
     p.add_argument("--model", required=True)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", dest="bisect_tau", type=float, default=None, help="bracket width target")
     p.add_argument("--norm", choices=["2", "fro"], default="2")
     p.add_argument("--budget", type=int, default=2000, help="projection sweep budget")
 

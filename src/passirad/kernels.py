@@ -54,11 +54,12 @@ class Tolerances:
     circle_tol  dead band around the unit circle: asymptotic stability and
                 the peripheral band of validate_minimal, asymptotic stability
                 in distance_to_stability, unimodular pencil eigenvalues
-                (frequency_scan, extremal_solutions)
+                (frequency_scan, the Riccati solves)
     golden_tol  golden-section bracket width (minimize_gamma), also a floor on
                 its top-eigenspace width
-    bisect_tau  default bracket width of xi_sup_bisection, xi_sup_eigenvalue
-                and constrained_distance; the feasibility band of refine_distance
+    bisect_tau  bracket width of xi_sup_bisection, xi_sup_eigenvalue,
+                constrained_distance, pick_certificate and analyze_distance
+                when their tau is None; the feasibility band of refine_distance
     """
 
     rank_tol: float = 1e-10

@@ -24,9 +24,9 @@ from .kyp import (
     classify_certificate,
     perturbation_frame,
 )
-from .riccati import extremal_solutions
+from .riccati import _stabilizing_solution, extremal_solutions
 from .system_model import StateSpaceModel, _semi_simple, validate_minimal
-from .xi import ShiftDirection, frequency_scan, shift_model
+from .xi import _bracket_width, _shift_bisection, frequency_scan, shift_model
 
 __all__ = [
     "DistanceReport",
@@ -62,14 +62,9 @@ class StabilityDistance:
     spectral_radius: float
 
 
-def _backward_passive(model: StateSpaceModel, xi: float, tol: Tolerances) -> bool:
-    shifted = shift_model(model, xi, ShiftDirection.BACKWARD).model
-    return frequency_scan(shifted, tol).passive
-
-
 def constrained_distance(
     model: StateSpaceModel,
-    tau: float = DEFAULT_TOL.bisect_tau,
+    tau: Optional[float] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Tuple[float, np.ndarray]:
     """Smallest backward shift making the model passive, with its
@@ -77,7 +72,9 @@ def constrained_distance(
 
     Returns (0, 0) for an already-passive model.  Otherwise brackets the
     shift by doubling, bisects the monotone passivity predicate to width
-    tau, and returns the certified-passing bracket end.
+    tau (tol.bisect_tau when None), and returns the certified-passing
+    bracket end.  The backward shift by xi is the forward shift by -xi, so
+    both phases run on forward levels, where the passing end is the lower.
     """
     report = validate_minimal(model, tol)
     if not report.minimal:
@@ -85,28 +82,21 @@ def constrained_distance(
             "model is not minimal "
             f"(controllable rank {report.ctrl_rank}, observable rank {report.obs_rank})"
         )
-    t = float(tau)
-    if not (np.isfinite(t) and t > 0.0):
-        raise DomainError(f"tau must be finite and > 0, got {tau}")
+    t = _bracket_width(tau, tol)
     nm = model.n + model.m
     if frequency_scan(model, tol).passive:
         return 0.0, np.zeros((nm, nm), dtype=np.complex128)
     lo = 0.0
     hi = max(t, model.spectral_radius - 1.0 + t)
     doublings = 0
-    while not _backward_passive(model, hi, tol):
+    while not frequency_scan(shift_model(model, -hi).model, tol).passive:
         lo = hi
         hi *= 2.0
         doublings += 1
         if doublings > 80:
             raise ConvergenceError(f"no passive backward shift found up to {hi:.3e}")
-    while hi - lo > t:
-        mid = 0.5 * (lo + hi)
-        if _backward_passive(model, mid, tol):
-            hi = mid
-        else:
-            lo = mid
-    xi_big = hi
+    level, _, _, _ = _shift_bisection(model, -hi, -lo, t, tol, lambda scan: scan.passive)
+    xi_big = -level
     S = model.system_matrix()
     target = np.zeros((nm, nm), dtype=np.complex128)
     target[model.n :, model.n :] = xi_big * np.eye(model.m)
@@ -117,17 +107,17 @@ def constrained_distance(
 def pick_certificate(
     model: StateSpaceModel,
     xi_big: float,
-    tau: float = DEFAULT_TOL.bisect_tau,
+    tau: Optional[float] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Certificate:
     """Certificate for the passified model: the stabilizing solution of
-    the strictly passive side M_{-(xi+tau)}, or the extremal midpoint
+    the strictly passive side M_{-(xi+tau)}, the forward shift at level
+    -(xi+tau) (tau is tol.bisect_tau when None), or the extremal midpoint
     when no shift was needed."""
     x = float(xi_big)
     if x > 0.0:
-        shifted = shift_model(model, x + float(tau), ShiftDirection.BACKWARD).model
-        sols = extremal_solutions(shifted, tol)
-        return classify_certificate(shifted, sols.X_min, tol)
+        shifted = shift_model(model, -(x + _bracket_width(tau, tol))).model
+        return classify_certificate(shifted, _stabilizing_solution(shifted, tol)[0], tol)
     sols = extremal_solutions(model, tol)
     return classify_certificate(model, 0.5 * (sols.X_min + sols.X_max), tol)
 
@@ -273,13 +263,13 @@ def distance_to_stability(A, tol: Tolerances = DEFAULT_TOL) -> StabilityDistance
 
 def analyze_distance(
     model: StateSpaceModel,
-    tau: float = DEFAULT_TOL.bisect_tau,
+    tau: Optional[float] = None,
     norm: str = "2",
     budget: int = 2000,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DistanceReport:
     """Full distance-to-passivity pipeline: constrained shift, certificate,
-    and norm refinement."""
+    and norm refinement; tau is tol.bisect_tau when None."""
     xi_big, delta0 = constrained_distance(model, tau, tol)
     cert = pick_certificate(model, xi_big, tau, tol)
     if xi_big == 0.0:

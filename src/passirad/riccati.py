@@ -175,44 +175,42 @@ def _solution_from_subspace(Z1: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     return hermitian_part(X), cond
 
 
-def extremal_solutions(
-    model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL
-) -> ExtremalSolutions:
-    """Extremal solutions of the certificate Riccati equation.
-
-    X_min comes from the deflating subspace of the in-closed-disc pencil
-    spectrum (the stabilizing solution), X_max from the complementary
-    spectrum.  Requires D^H + D invertible and a spectrum with no
-    unit-circle eigenvalues; subspace bases with condition number above
-    1e10 are rejected.
-    """
+def _stabilizing_solution(
+    model: StateSpaceModel, tol: Tolerances
+) -> Tuple[np.ndarray, float, np.ndarray, SymplecticPencil]:
+    """The stabilizing solution X_min from the deflating subspace of the
+    in-disc pencil spectrum, with its basis condition number, the pencil
+    eigenvalues and the reduced pencil."""
     pencil = build_symplectic(model, tol)
     if not pencil.reduced_available:
         raise DomainError(
             "D^H + D is singular at rank_tol; extremal solutions need the "
             "reduced pencil (the extended pencil is available via extended_pencil)"
         )
-    K, L = pencil.K, pencil.L
     n = model.n
-
-    def order(select_inside: bool):
-        def sort(alpha, beta):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mod = np.abs(alpha) / np.abs(beta)
-            mod = np.where(np.abs(beta) == 0.0, np.inf, mod)
-            return mod < 1.0 if select_inside else mod > 1.0
-
-        aa, bb, alpha, beta, _, Z = scipy.linalg.ordqz(K, L, sort=sort, output="complex")
-        return alpha, beta, Z
-
-    alpha, beta, Z_in = order(select_inside=True)
+    _, _, alpha, beta, _, Z = scipy.linalg.ordqz(pencil.K, pencil.L, sort="iuc", output="complex")
     _split_check(alpha, beta, n, tol)
-    X_min, cond_min = _solution_from_subspace(Z_in[:, :n], n)
-    _, _, Z_out = order(select_inside=False)
-    X_max, cond_max = _solution_from_subspace(Z_out[:, :n], n)
+    X_min, cond_min = _solution_from_subspace(Z[:, :n], n)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = alpha / beta
     lam[np.abs(beta) == 0.0] = np.inf
+    return X_min, cond_min, lam, pencil
+
+
+def extremal_solutions(
+    model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL
+) -> ExtremalSolutions:
+    """Extremal solutions of the certificate Riccati equation.
+
+    X_min comes from the deflating subspace of the in-disc pencil spectrum
+    (the stabilizing solution), X_max from the complementary spectrum.
+    Requires D^H + D invertible and a spectrum with no unit-circle
+    eigenvalues; subspace bases with condition number above 1e10 are
+    rejected.
+    """
+    X_min, cond_min, lam, pencil = _stabilizing_solution(model, tol)
+    _, _, _, _, _, Z = scipy.linalg.ordqz(pencil.K, pencil.L, sort="ouc", output="complex")
+    X_max, cond_max = _solution_from_subspace(Z[:, : model.n], model.n)
     return ExtremalSolutions(
         X_min=X_min, X_max=X_max, eigenvalues=lam, cond_min=cond_min, cond_max=cond_max
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,7 @@ from .errors import ConvergenceError, DefinitenessError, DomainError
 from .kernels import DEFAULT_TOL, Tolerances, lambda_min, psd_margin
 from .kyp import CertificateKind, build_Wtilde, classify_certificate, perturbation_frame
 from .normalization import normalize
-from .riccati import extremal_solutions, pencil_eigenvalues
+from .riccati import _stabilizing_solution, pencil_eigenvalues
 from .system_model import StateSpaceModel, phi_eval, validate_minimal
 
 __all__ = [
@@ -304,55 +304,77 @@ def _require_minimal(model: StateSpaceModel, tol: Tolerances) -> None:
         )
 
 
-def xi_sup_bisection(
-    model: StateSpaceModel,
-    tau: float = DEFAULT_TOL.bisect_tau,
-    tol: Tolerances = DEFAULT_TOL,
-) -> XiResult:
-    """Margin bracket by bisection on the strict-passivity predicate."""
-    _require_minimal(model, tol)
-    t = float(tau)
+def _bracket_width(tau: Optional[float], tol: Tolerances) -> float:
+    """The bisection width: tau, or tol.bisect_tau when tau is None."""
+    t = float(tol.bisect_tau if tau is None else tau)
     if not (np.isfinite(t) and t > 0.0):
-        raise DomainError(f"tau must be finite and > 0, got {tau}")
-    scan0 = frequency_scan(model, tol)
-    if not scan0.strictly_passive:
-        return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
-    lo, hi = 0.0, xi_upper_bound(model)
+        raise DomainError(f"tau must be finite and > 0, got {t}")
+    return t
+
+
+def _shift_bisection(
+    model: StateSpaceModel,
+    lo: float,
+    hi: float,
+    tau: float,
+    tol: Tolerances,
+    accept: Callable[[FrequencyScan], bool],
+) -> Tuple[float, float, int, Tuple[float, ...]]:
+    """Bisect the forward shift level on [lo, hi] to width tau.
+
+    accept must hold on the shifted model at lo and fail at hi.  Returns
+    the final bracket, the number of steps and the circle zeros of the
+    last shift that failed (empty when none did).
+    """
     witness: Tuple[float, ...] = ()
-    iterations = 0
-    while hi - lo > t:
-        iterations += 1
-        if iterations > 200:
-            raise ConvergenceError(
-                f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]"
-            )
+    steps = 0
+    while hi - lo > tau:
+        steps += 1
+        if steps > 200:
+            raise ConvergenceError(f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]")
         mid = 0.5 * (lo + hi)
         scan = frequency_scan(shift_model(model, mid).model, tol)
-        if scan.strictly_passive:
+        if accept(scan):
             lo = mid
         else:
             hi = mid
             witness = scan.zeros
-    return XiResult(lo, hi, iterations, XiMethod.BISECTION, witness)
+    return lo, hi, steps, witness
+
+
+def xi_sup_bisection(
+    model: StateSpaceModel,
+    tau: Optional[float] = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> XiResult:
+    """Margin bracket by bisection on the strict-passivity predicate, to
+    width tau (tol.bisect_tau when None)."""
+    _require_minimal(model, tol)
+    t = _bracket_width(tau, tol)
+    scan0 = frequency_scan(model, tol)
+    if not scan0.strictly_passive:
+        return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
+    lo, hi, steps, witness = _shift_bisection(
+        model, 0.0, xi_upper_bound(model), t, tol, lambda scan: scan.strictly_passive
+    )
+    return XiResult(lo, hi, steps, XiMethod.BISECTION, witness)
 
 
 def xi_sup_eigenvalue(
     model: StateSpaceModel,
-    tau: float = DEFAULT_TOL.bisect_tau,
+    tau: Optional[float] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> XiResult:
     """Margin bracket by the level-set iteration.
 
-    Probe xi_hat = upper - tau.  If the probed shift is strictly passive,
+    Probe xi_hat = upper - tau (tau is tol.bisect_tau when None).  If the probed shift is strictly passive,
     [xi_hat, upper] is the answer.  Otherwise take the midpoint of the
     widest circle arc where positivity fails and pull the upper bound
     down to the smallest real pencil root at that frequency; any such
     root bounds the margin from above.
     """
     _require_minimal(model, tol)
-    t = float(tau)
-    if not (np.isfinite(t) and t > 0.0):
-        raise DomainError(f"tau must be finite and > 0, got {tau}")
+    t = _bracket_width(tau, tol)
     scan0 = frequency_scan(model, tol)
     if not scan0.strictly_passive:
         raise DomainError("level-set margin search needs a strictly passive model")
@@ -391,9 +413,4 @@ def optimal_certificate(
     x = float(xi_lo)
     if x < 0.0:
         raise DomainError(f"xi_lo must be >= 0, got {xi_lo}")
-    if x == 0.0:
-        sols = extremal_solutions(model, tol)
-        return sols.X_min
-    shifted = shift_model(model, x).model
-    sols = extremal_solutions(shifted, tol)
-    return sols.X_min
+    return _stabilizing_solution(shift_model(model, x).model, tol)[0]

@@ -203,6 +203,15 @@ def test_xi_command_honors_tau(m0_path, capsys):
     assert res["bisection"]["iterations"] == 13  # ceil(log2(0.5 / 1e-4))
 
 
+def test_tau_and_tol_bisect_set_one_width_and_the_later_wins(m0_path, capsys):
+    for flags in (["--tau", "1e-4"], ["--tol-bisect", "1e-4"], ["--tau", "1e-3", "--tol-bisect", "1e-4"]):
+        code, out, _ = _run(capsys, ["xi", "--model", m0_path] + flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["tolerances"]["bisect_tau"] == 1e-4
+        assert report["results"]["bisection"]["iterations"] == 13
+
+
 def test_passify_command(m_neg_path, capsys):
     code, out, _ = _run(capsys, ["passify", "--model", m_neg_path])
     assert code == 0

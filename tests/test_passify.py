@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from passirad import StateSpaceModel
@@ -161,4 +162,16 @@ def test_stability_distance_defective_peripheral_modes():
 def test_stability_distance_semisimple_peripheral_modes():
     res = distance_to_stability(np.diag([1.2, 1.2, 0.5]))
     assert res.xi == pytest.approx(0.2, abs=1e-12)
+    assert res.attained
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the peripheral band max(1e-8, 10 eps^(1/n)) pulls the "
+    "near-defective inner block into the cluster of the simple eigenvalue 1",
+)
+def test_stability_distance_near_defective_inner_block():
+    J = np.array([[0.99999, 1.0], [0.0, 0.99999]])
+    res = distance_to_stability(scipy.linalg.block_diag(J, 1.0))
+    assert res.xi == 0.0
     assert res.attained

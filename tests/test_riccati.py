@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.optimize
 
 from passirad import StateSpaceModel
-from passirad.errors import DomainError, SpectralSplittingError
+from passirad.errors import ConditioningError, DomainError, SpectralSplittingError
 from passirad.kyp import CertificateKind, classify_certificate
 from passirad.experiments import random_passive_system
 from passirad.riccati import (
@@ -19,6 +19,7 @@ from passirad.riccati import (
     pencil_eigenvalues,
     riccati_residual,
 )
+from passirad.xi import optimal_certificate
 
 
 def test_scalar_certificate_interval_endpoints(m0):
@@ -57,6 +58,18 @@ def test_symplectic_pencil_structure(m0):
     # A0 = A - B (D^H+D)^{-1} C = 0.5 - 0.5 = 0
     np.testing.assert_allclose(p.K, [[0.0, 0.0], [0.5, 1.0]], atol=1e-14)
     np.testing.assert_allclose(p.L, [[1.0, 0.5], [0.0, 0.0]], atol=1e-14)
+
+
+def test_optimal_certificate_needs_only_the_stabilizing_solution():
+    # X_max's subspace basis is ill-conditioned here (cond ~1e12), so the
+    # extremal pair is refused; X_min alone is well conditioned
+    model = random_passive_system(20, 2, seed=0).model
+    X = optimal_certificate(model, 0.0)
+    assert riccati_residual(model, X) <= 1e-12
+    _, A_F = closed_loop(model, X)
+    assert np.max(np.abs(np.linalg.eigvals(A_F))) < 1.0
+    with pytest.raises(ConditioningError):
+        extremal_solutions(model)
 
 
 def test_extremal_ordering_and_closed_loop_on_random_systems():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from passirad import StateSpaceModel, build_W
-from passirad.errors import DomainError
+from passirad.errors import ConvergenceError, DomainError
 from passirad.experiments import random_passive_system
 from passirad.passify import distance_to_stability
 from passirad.system_model import (
@@ -195,3 +195,14 @@ def test_dissipation_nonnegative_under_psd_certificate(m0):
 def test_dissipation_rejects_mismatched_input_rows(m0):
     with pytest.raises(DomainError):
         simulate_dissipation(m0, np.eye(1), np.ones((2, 4)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="ROADMAP item 5: the Krylov rank test of validate_minimal calls robustly "
+    "minimal draws non-minimal when powers of A decay",
+)
+@pytest.mark.parametrize("n, m", [(20, 1), (50, 3)])
+def test_random_passive_system_draws_at_moderate_order(n, m):
+    assert validate_minimal(random_passive_system(n, m, seed=0).model).minimal

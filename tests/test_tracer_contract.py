@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from passirad import experiments, radius
+from passirad import experiments, radius, riccati, xi
 from passirad.experiments import random_passive_system
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -60,3 +60,17 @@ def test_a_radius_solve_makes_no_validated_eigensolves_and_two_with_vectors():
     assert metrics["kernels.hermitian_eig.calls"] == 0
     assert metrics["kernels.spectral_norm.calls"] == 2
     assert metrics["lapack.eigh.calls"] == 2
+
+
+def test_a_certificate_makes_one_ordered_qz_and_the_extremal_pair_two(m0):
+    tracing = _load_tracing()
+    counts = []
+    for call in (lambda: xi.optimal_certificate(m0, 0.1), lambda: riccati.extremal_solutions(m0)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            call()
+        finally:
+            tracer.uninstall()
+        counts.append(tracer.metrics(ops=1, overhead_ratio=1.0)["lapack.ordqz.calls"])
+    assert counts == [1, 2]

@@ -6,8 +6,10 @@ import pytest
 
 from passirad import StateSpaceModel
 from passirad.errors import DefinitenessError, DomainError
+from passirad.kernels import Tolerances
 from passirad.experiments import random_passive_system
 from passirad.kyp import build_Wtilde
+from passirad.passify import analyze_distance, constrained_distance
 from passirad.radius import x_passivity_radius
 from passirad.normalization import normalize
 from passirad.riccati import extremal_solutions
@@ -298,6 +300,20 @@ def test_margin_rejects_bad_tau(m0):
         xi_sup_bisection(m0, tau=0.0)
     with pytest.raises(DomainError):
         xi_sup_eigenvalue(m0, tau=-1e-9)
+
+
+def test_bisection_width_defaults_to_the_tolerance_bundle(m0):
+    # ceil(log2(0.5 / 1e-4)) = 13 halvings of [0, 1 - rho(A)]
+    assert xi_sup_bisection(m0, tol=Tolerances(bisect_tau=1e-4)).iterations == 13
+
+
+def test_every_shift_search_reads_its_width_from_tol_when_tau_is_none(m0, m_neg):
+    tol = Tolerances(bisect_tau=1e-4)
+    assert xi_sup_eigenvalue(m0, tol=tol) == xi_sup_eigenvalue(m0, 1e-4)
+    assert constrained_distance(m_neg, tol=tol)[0] == constrained_distance(m_neg, 1e-4)[0]
+    assert analyze_distance(m_neg, tol=tol).xi_big == analyze_distance(m_neg, 1e-4, tol=tol).xi_big
+    with pytest.raises(DomainError):
+        constrained_distance(m_neg, tau=0.0)
 
 
 def test_margin_rejects_hidden_unstable_modes():
