@@ -4,6 +4,10 @@ Certificates of passivity (KYP-style linear matrix inequalities and
 their Riccati extremal solutions), normalized realizations, passivity
 radii with explicit minimal destabilizing perturbations, shift margins,
 and distances to passivity and stability for models that fail the test.
+
+The package namespace holds the entry points; every other public name is
+imported from its module, for example ``from passirad.xi import
+frequency_scan``.
 """
 
 from .errors import (
@@ -14,86 +18,15 @@ from .errors import (
     PassiradError,
     SpectralSplittingError,
 )
-from .kernels import DEFAULT_TOL, Tolerances, golden_section_min, hermitian_eig
-from .system_model import (
-    MinimalityReport,
-    StateSpaceModel,
-    phi_eval,
-    simulate_dissipation,
-    transfer_eval,
-    validate_minimal,
-)
-from .kyp import (
-    Certificate,
-    CertificateKind,
-    PerturbationFrame,
-    apply_perturbation,
-    build_W,
-    build_What,
-    build_Wtilde,
-    classify_certificate,
-    perturbation_frame,
-)
-from .riccati import (
-    ExtremalSolutions,
-    SymplecticPencil,
-    build_symplectic,
-    closed_loop,
-    extended_pencil,
-    extremal_solutions,
-    pencil_eigenvalues,
-    riccati_residual,
-)
-from .normalization import (
-    NormalizedRealization,
-    canonical_form,
-    normalize,
-    verify_normalized,
-)
-from .radius import (
-    GammaSearch,
-    RadiusReport,
-    dual_certificate,
-    gamma_objective,
-    geometric_mean_estimate,
-    minimize_gamma,
-    x_passivity_radius,
-)
-from .xi import (
-    FrequencyScan,
-    ShiftDirection,
-    ShiftedModel,
-    XiMethod,
-    XiResult,
-    frequency_scan,
-    gamma_xi_omega,
-    has_unit_circle_zeros,
-    optimal_certificate,
-    shift_model,
-    xi_roots_at_omega,
-    xi_star,
-    xi_sup_bisection,
-    xi_sup_eigenvalue,
-    xi_upper_bound,
-)
-from .passify import (
-    DistanceReport,
-    StabilityDistance,
-    analyze_distance,
-    constrained_distance,
-    distance_to_stability,
-    pick_certificate,
-    refine_distance,
-)
-from .experiments import (
-    EnsembleResult,
-    EnsembleRow,
-    SweepResult,
-    SweepRow,
-    ensemble_experiment,
-    random_passive_system,
-    scalar_sweep,
-)
+from .kernels import DEFAULT_TOL, Tolerances
+from .system_model import StateSpaceModel
+from .kyp import build_W
+from .riccati import extremal_solutions
+from .normalization import normalize
+from .radius import dual_certificate, x_passivity_radius
+from .xi import optimal_certificate, xi_star, xi_sup_bisection, xi_sup_eigenvalue
+from .passify import analyze_distance, distance_to_stability
+from .experiments import ensemble_experiment, random_passive_system
 
 __version__ = "0.1.0"
 
@@ -107,69 +40,18 @@ __all__ = [
     "ConvergenceError",
     "Tolerances",
     "DEFAULT_TOL",
-    "golden_section_min",
-    "hermitian_eig",
     "StateSpaceModel",
-    "MinimalityReport",
-    "validate_minimal",
-    "transfer_eval",
-    "phi_eval",
-    "simulate_dissipation",
-    "Certificate",
-    "CertificateKind",
-    "PerturbationFrame",
     "build_W",
-    "build_What",
-    "build_Wtilde",
-    "perturbation_frame",
-    "apply_perturbation",
-    "classify_certificate",
-    "SymplecticPencil",
-    "ExtremalSolutions",
-    "extended_pencil",
-    "build_symplectic",
-    "pencil_eigenvalues",
     "extremal_solutions",
-    "riccati_residual",
-    "closed_loop",
-    "NormalizedRealization",
     "normalize",
-    "canonical_form",
-    "verify_normalized",
-    "GammaSearch",
-    "RadiusReport",
-    "gamma_objective",
-    "minimize_gamma",
     "x_passivity_radius",
     "dual_certificate",
-    "geometric_mean_estimate",
-    "ShiftDirection",
-    "ShiftedModel",
-    "XiMethod",
-    "XiResult",
-    "FrequencyScan",
-    "shift_model",
-    "xi_upper_bound",
-    "xi_star",
-    "has_unit_circle_zeros",
-    "frequency_scan",
-    "gamma_xi_omega",
-    "xi_roots_at_omega",
     "xi_sup_bisection",
     "xi_sup_eigenvalue",
     "optimal_certificate",
-    "DistanceReport",
-    "StabilityDistance",
-    "constrained_distance",
-    "pick_certificate",
-    "refine_distance",
-    "distance_to_stability",
+    "xi_star",
     "analyze_distance",
-    "EnsembleRow",
-    "EnsembleResult",
-    "SweepRow",
-    "SweepResult",
+    "distance_to_stability",
     "random_passive_system",
     "ensemble_experiment",
-    "scalar_sweep",
 ]

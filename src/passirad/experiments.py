@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PassiradError
 from .kernels import DEFAULT_TOL, Tolerances, lambda_min
-from .kyp import build_W, build_Wtilde, perturbation_frame
+from .kyp import _ds_scaled, build_W, build_Wtilde
 from .normalization import NormalizedRealization
 from .radius import geometric_mean_estimate, x_passivity_radius
 from .system_model import StateSpaceModel, validate_minimal
@@ -150,8 +150,7 @@ def ensemble_experiment(
             lam_w = lambda_min(build_W(model, eye))
             Wt = build_Wtilde(model, eye)
             lam_wt = lambda_min(Wt)
-            Ds = perturbation_frame(n, m).Ds
-            lam_ds = lambda_min(Ds @ Wt @ Ds)
+            lam_ds = lambda_min(_ds_scaled(Wt, m))
             est, _ = geometric_mean_estimate(model, tol)
             rows.append(
                 EnsembleRow(
@@ -227,15 +226,13 @@ def scalar_sweep(
     if np.any(ts <= 0.0):
         raise DomainError("grid points must be positive")
     rows: List[SweepRow] = []
-    frame = perturbation_frame(1, 1)
     for t in ts:
         model = StateSpaceModel(
             np.array([[a]]), np.array([[b * t]]), np.array([[c / t]]), np.array([[d]])
         )
         eye = np.eye(1)
         lam_w = lambda_min(build_W(model, eye))
-        Wt = build_Wtilde(model, eye)
-        lam_ds = lambda_min(frame.Ds @ Wt @ frame.Ds)
+        lam_ds = lambda_min(_ds_scaled(build_Wtilde(model, eye), 1))
         try:
             rho_t = x_passivity_radius(model, eye, tol).rho
         except PassiradError:

@@ -14,7 +14,8 @@ radius and margin computations:
     Wtilde(X) = [[X, XA, XB], [A^H X, X, C^H], [B^H X, C, D^H + D]]
 
 Wtilde = diag(X, I, I) What diag(X, I, I), and the Schur complement of
-the leading block of Wtilde is W(X).
+the leading block of Wtilde is W(X).  The (n, n, m) row split of these forms,
+the perturbation embedding, its read-back and the Ds scaling live only here.
 """
 
 from __future__ import annotations
@@ -84,6 +85,14 @@ def build_W(model: StateSpaceModel, X) -> np.ndarray:
     return hermitian_part(W)
 
 
+def _bordered(P, Q, A, B, C, S) -> np.ndarray:
+    """Hermitian part of [[P, A, B], [A^H, Q, C^H], [B^H, C, S]], the (n, n, m)
+    layout shared by What, Wtilde and the frequency-pinned shift fields."""
+    return hermitian_part(
+        np.block([[P, A, B], [A.conj().T, Q, C.conj().T], [B.conj().T, C, S]])
+    )
+
+
 def build_What(model: StateSpaceModel, X) -> np.ndarray:
     """The bordered (2n+m) form with an X^{-1} leading block (needs X > 0)."""
     Xh = _check_X(model, X)
@@ -91,29 +100,13 @@ def build_What(model: StateSpaceModel, X) -> np.ndarray:
         Xinv = np.linalg.inv(Xh)
     except np.linalg.LinAlgError as exc:
         raise DomainError("X is singular; the bordered certificate needs X > 0") from exc
-    A, B, C, D = model.A, model.B, model.C, model.D
-    What = np.block(
-        [
-            [Xinv, A, B],
-            [A.conj().T, Xh, C.conj().T],
-            [B.conj().T, C, D.conj().T + D],
-        ]
-    )
-    return hermitian_part(What)
+    return _bordered(Xinv, Xh, model.A, model.B, model.C, model.D.conj().T + model.D)
 
 
 def build_Wtilde(model: StateSpaceModel, X) -> np.ndarray:
     """The inversion-free bordered (2n+m) form, congruent to diag(X, W(X))."""
     Xh = _check_X(model, X)
-    A, B, C, D = model.A, model.B, model.C, model.D
-    Wt = np.block(
-        [
-            [Xh, Xh @ A, Xh @ B],
-            [A.conj().T @ Xh, Xh, C.conj().T],
-            [B.conj().T @ Xh, C, D.conj().T + D],
-        ]
-    )
-    return hermitian_part(Wt)
+    return _bordered(Xh, Xh, Xh @ model.A, Xh @ model.B, model.C, model.D.conj().T + model.D)
 
 
 @dataclass(frozen=True)
@@ -135,12 +128,9 @@ class PerturbationFrame:
 def perturbation_frame(n: int, m: int) -> PerturbationFrame:
     if n < 1 or m < 1:
         raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    E1 = np.zeros((2 * n + m, n + m))
-    E2 = np.zeros((2 * n + m, n + m))
-    E1[:n, :n] = np.eye(n)
-    E1[2 * n :, n:] = np.eye(m)
-    E2[n : 2 * n, :n] = np.eye(n)
-    E2[2 * n :, n:] = np.eye(m)
+    eye, zero = np.eye(n + m), np.zeros((n, n + m))
+    E1 = np.vstack([eye[:n], zero, eye[n:]])
+    E2 = np.vstack([zero, eye])
     Ds = np.diag(np.concatenate([np.ones(2 * n), np.full(m, 1.0 / np.sqrt(2.0))]))
     return PerturbationFrame(E1=E1, E2=E2, Ds=Ds, n=n, m=m)
 
@@ -152,11 +142,29 @@ def apply_perturbation(frame: PerturbationFrame, delta) -> np.ndarray:
     What(X, .) under {A, B, C, D} -> {A + dA, B + dB, C + dC, D + dD}.
     """
     Delta = as_complex_matrix(delta, "delta")
-    k = frame.n + frame.m
+    n, k = frame.n, frame.n + frame.m
     if Delta.shape != (k, k):
         raise DomainError(f"delta must be {k}x{k}, got {Delta.shape}")
-    P = frame.E1 @ Delta @ frame.E2.T
+    P = np.zeros((n + k, n + k), dtype=np.complex128)
+    P[:n, n:] = Delta[:n]
+    P[2 * n :, n:] = Delta[n:]
     return P + P.conj().T
+
+
+def _read_perturbation(G: np.ndarray, n: int) -> np.ndarray:
+    """The Delta that apply_perturbation embeds in G; the dD block is halved,
+    since its embedding is dD + dD^H."""
+    out = np.concatenate([G[:n, n:], G[2 * n :, n:]])
+    out[n:, n:] *= 0.5
+    return out
+
+
+def _ds_scaled(H: np.ndarray, m: int) -> np.ndarray:
+    """Ds H Ds with Ds = diag(I, I, I/sqrt 2), the frame weight on the last m
+    rows and columns, applied as a row and a column scaling."""
+    d = np.ones(H.shape[0])
+    d[-m:] = 1.0 / np.sqrt(2.0)
+    return H * d[:, None] * d
 
 
 def classify_certificate(

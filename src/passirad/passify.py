@@ -10,7 +10,7 @@ LMI refinement then tries to shrink the perturbation norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,6 +19,7 @@ from .errors import ConvergenceError, DomainError
 from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix, lambda_min, psd_margin
 from .kyp import (
     Certificate,
+    _read_perturbation,
     apply_perturbation,
     build_What,
     classify_certificate,
@@ -138,21 +139,13 @@ def _ball_projection(delta: np.ndarray, sigma: float, norm: str) -> np.ndarray:
     return (U * np.minimum(s, sigma)) @ V.conj().T
 
 
-def _psd_readback(delta: np.ndarray, What0: np.ndarray, frame, n: int) -> np.ndarray:
+def _psd_readback(delta: np.ndarray, What0: np.ndarray, frame) -> np.ndarray:
     """Clip the assembled certificate matrix to the PSD cone and read the
     perturbation blocks back through the embedding frame."""
     G = What0 + apply_perturbation(frame, delta)
     w, V = np.linalg.eigh(G)
     Gplus = (V * np.maximum(w, 0.0)) @ V.conj().T
-    diff = Gplus - What0
-    nm = delta.shape[0]
-    m = nm - n
-    out = np.zeros_like(delta)
-    out[:n, :n] = diff[:n, n : 2 * n]
-    out[:n, n:] = diff[:n, 2 * n :]
-    out[n:, :n] = diff[2 * n :, n : 2 * n]
-    out[n:, n:] = 0.5 * diff[2 * n :, 2 * n :]
-    return out
+    return _read_perturbation(Gplus - What0, frame.n)
 
 
 def refine_distance(
@@ -215,7 +208,7 @@ def refine_distance(
                 stall += 1
                 if stall >= 50:
                     break
-            z = _psd_readback(y + q, What0, frame, model.n)
+            z = _psd_readback(y + q, What0, frame)
             q = y + q - z
             x = z
         return None, used
@@ -269,14 +262,15 @@ def analyze_distance(
     tol: Tolerances = DEFAULT_TOL,
 ) -> DistanceReport:
     """Full distance-to-passivity pipeline: constrained shift, certificate,
-    and norm refinement; tau is tol.bisect_tau when None."""
-    xi_big, delta0 = constrained_distance(model, tau, tol)
-    cert = pick_certificate(model, xi_big, tau, tol)
+    and norm refinement.  A given tau replaces tol.bisect_tau throughout, so
+    the refinement's feasibility band matches the shift bracket width."""
+    tol = replace(tol, bisect_tau=_bracket_width(tau, tol))
+    xi_big, delta0 = constrained_distance(model, tol=tol)
+    cert = pick_certificate(model, xi_big, tol=tol)
     if xi_big == 0.0:
         return DistanceReport(0.0, delta0, cert, None, 0.0, 0.0, True)
-    base = cert.X
-    refined, achieved, converged = refine_distance(
-        model, base, delta0, norm=norm, budget=budget, tol=tol
+    refined, _, converged = refine_distance(
+        model, cert.X, delta0, norm=norm, budget=budget, tol=tol
     )
     return DistanceReport(
         xi_big=xi_big,

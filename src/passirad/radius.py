@@ -34,6 +34,7 @@ from .kernels import (
 from .kyp import (
     CertificateKind,
     PerturbationFrame,
+    _ds_scaled,
     apply_perturbation,
     build_What,
     classify_certificate,
@@ -233,7 +234,7 @@ def x_passivity_radius(
         bound_upper_overlap=1.0 / ((1.0 + overlap) * ab),
         bound_upper=1.0 / ab,
         overlap=overlap,
-        ds_lower=lambda_min(frame.Ds @ What @ frame.Ds),
+        ds_lower=lambda_min(_ds_scaled(What, model.m)),
     )
 
 

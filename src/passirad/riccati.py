@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .errors import ConditioningError, DomainError, SpectralSplittingError
 from .kernels import DEFAULT_TOL, Tolerances, hermitian_part
-from .kyp import _check_X
+from .kyp import build_W
 from .system_model import StateSpaceModel
 
 __all__ = [
@@ -217,29 +217,24 @@ def extremal_solutions(
 
 
 def riccati_residual(model: StateSpaceModel, X) -> float:
-    """Frobenius norm of Ricc(X)."""
-    Xh = _check_X(model, X)
-    A, B, C, D = model.A, model.B, model.C, model.D
-    R22 = D.conj().T + D - B.conj().T @ Xh @ B
-    R12 = C.conj().T - A.conj().T @ Xh @ B
-    R21 = C - B.conj().T @ Xh @ A
+    """Frobenius norm of Ricc(X) = W11 - W12 W22^{-1} W21, from the blocks of W(X)."""
+    W, n = build_W(model, X), model.n
     try:
-        inner = np.linalg.solve(R22, R21)
+        inner = np.linalg.solve(W[n:, n:], W[n:, :n])
     except np.linalg.LinAlgError as exc:
         raise DomainError("D^H + D - B^H X B is singular; residual undefined") from exc
-    resid = Xh - A.conj().T @ Xh @ A - R12 @ inner
-    return float(np.linalg.norm(resid, "fro"))
+    return float(np.linalg.norm(W[:n, :n] - W[:n, n:] @ inner, "fro"))
 
 
 def closed_loop(
     model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Feedback F = (D^H + D - B^H X B)^{-1}(C - B^H X A) and A_F = A - B F."""
-    Xh = _check_X(model, X)
-    A, B, C, D = model.A, model.B, model.C, model.D
-    R22 = D.conj().T + D - B.conj().T @ Xh @ B
-    s = np.linalg.svd(R22, compute_uv=False)
+    """Feedback F = (D^H + D - B^H X B)^{-1}(C - B^H X A) and A_F = A - B F,
+    with both factors read from the blocks W22 and W21 of W(X)."""
+    W, n = build_W(model, X), model.n
+    W22 = W[n:, n:]
+    s = np.linalg.svd(W22, compute_uv=False)
     if s[-1] <= tol.rank_tol * max(s[0], 1.0):
         raise DomainError("D^H + D - B^H X B is singular at rank_tol; no closed loop")
-    F = np.linalg.solve(R22, C - B.conj().T @ Xh @ A)
-    return F, A - B @ F
+    F = np.linalg.solve(W22, W[n:, :n])
+    return F, model.A - model.B @ F

@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .errors import ConvergenceError, DefinitenessError, DomainError
 from .kernels import DEFAULT_TOL, Tolerances, lambda_min, psd_margin
-from .kyp import CertificateKind, build_Wtilde, classify_certificate, perturbation_frame
+from .kyp import CertificateKind, _bordered, _ds_scaled, build_Wtilde, classify_certificate
 from .normalization import normalize
 from .riccati import _stabilizing_solution, pencil_eigenvalues
 from .system_model import StateSpaceModel, phi_eval, validate_minimal
@@ -142,9 +142,7 @@ def xi_star(model: StateSpaceModel, X, tol: Tolerances = DEFAULT_TOL) -> float:
         )
     realization = normalize(model, cert.X, tol)
     mt = realization.model
-    Wt = build_Wtilde(mt, np.eye(mt.n))
-    Ds = perturbation_frame(mt.n, mt.m).Ds
-    return lambda_min(Ds @ Wt @ Ds)
+    return lambda_min(_ds_scaled(build_Wtilde(mt, np.eye(mt.n)), mt.m))
 
 
 def _safe_frequency(model: StateSpaceModel) -> float:
@@ -241,17 +239,10 @@ def gamma_xi_omega(model: StateSpaceModel, xi: float, omega: float) -> float:
     x = float(xi)
     if x >= 1.0:
         raise DomainError(f"requires xi < 1, got {x}")
-    n, m = model.n, model.m
     z = np.exp(1j * float(omega))
-    M = model.A + z * (x - 1.0) * np.eye(n)
-    G = np.zeros((2 * n + m, 2 * n + m), dtype=np.complex128)
-    G[:n, n : 2 * n] = M
-    G[n : 2 * n, :n] = M.conj().T
-    G[:n, 2 * n :] = model.B
-    G[2 * n :, :n] = model.B.conj().T
-    G[n : 2 * n, 2 * n :] = model.C.conj().T
-    G[2 * n :, n : 2 * n] = model.C
-    G[2 * n :, 2 * n :] = model.D.conj().T + model.D - x * np.eye(m)
+    M = model.A + z * (x - 1.0) * np.eye(model.n)
+    Z = np.zeros((model.n, model.n))
+    G = _bordered(Z, Z, M, model.B, model.C, model.D.conj().T + model.D - x * np.eye(model.m))
     return lambda_min(G)
 
 
@@ -265,20 +256,12 @@ def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:
     """
     n, m = model.n, model.m
     z = np.exp(1j * float(omega))
-    dim = 2 * n + m
-    G0 = np.zeros((dim, dim), dtype=np.complex128)
-    M0 = model.A - z * np.eye(n)
-    G0[:n, n : 2 * n] = M0
-    G0[n : 2 * n, :n] = M0.conj().T
-    G0[:n, 2 * n :] = model.B / np.sqrt(2.0)
-    G0[2 * n :, :n] = model.B.conj().T / np.sqrt(2.0)
-    G0[n : 2 * n, 2 * n :] = model.C.conj().T / np.sqrt(2.0)
-    G0[2 * n :, n : 2 * n] = model.C / np.sqrt(2.0)
-    G0[2 * n :, 2 * n :] = 0.5 * (model.D.conj().T + model.D)
-    K = np.zeros((dim, dim), dtype=np.complex128)
-    K[:n, n : 2 * n] = z * np.eye(n)
-    K[n : 2 * n, :n] = np.conj(z) * np.eye(n)
-    K[2 * n :, 2 * n :] = -np.eye(m)
+    Z = np.zeros((n, n))
+    r = np.sqrt(2.0)
+    G0 = _bordered(
+        Z, Z, model.A - z * np.eye(n), model.B / r, model.C / r, 0.5 * (model.D.conj().T + model.D)
+    )
+    K = _bordered(Z, Z, z * np.eye(n), np.zeros((n, m)), np.zeros((m, n)), -np.eye(m))
     lams = scipy.linalg.eig(G0, -K, right=False)
     real = lams[np.abs(lams.imag) <= 1e-8 * (1.0 + np.abs(lams))].real
     inside = real[(real > 1e-12) & (real < 1.0 - 1e-10)]

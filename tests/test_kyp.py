@@ -7,8 +7,11 @@ import pytest
 from passirad import StateSpaceModel
 from passirad.errors import DefinitenessError, DomainError
 from passirad.kernels import DEFAULT_TOL, cholesky
+from passirad.experiments import random_passive_system
 from passirad.kyp import (
     CertificateKind,
+    _ds_scaled,
+    _read_perturbation,
     apply_perturbation,
     build_W,
     build_What,
@@ -118,6 +121,36 @@ def test_apply_perturbation_reproduces_block_pattern():
     )
     np.testing.assert_allclose(P, expected, atol=1e-14)
     np.testing.assert_allclose(P, P.conj().T, atol=1e-14)
+
+
+def _complex_delta(rng, k):
+    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 1), (10, 2)])
+def test_apply_perturbation_is_the_frame_formula_exactly(n, m):
+    frame = perturbation_frame(n, m)
+    delta = _complex_delta(np.random.default_rng(n + 10 * m), n + m)
+    P = frame.E1 @ delta @ frame.E2.T
+    assert np.array_equal(apply_perturbation(frame, delta), P + P.conj().T)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 1), (10, 2)])
+def test_read_perturbation_inverts_the_embedding(n, m):
+    frame = perturbation_frame(n, m)
+    delta = _complex_delta(np.random.default_rng(7 * n + m), n + m)
+    expected = delta.copy()
+    dD = delta[n:, n:]
+    expected[n:, n:] = 0.5 * (dD + dD.conj().T)
+    assert np.array_equal(_read_perturbation(apply_perturbation(frame, delta), n), expected)
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (40, 4)])
+def test_ds_scaling_is_the_frame_product_exactly(n, m):
+    model = random_passive_system(n, m, seed=3).model
+    H = build_Wtilde(model, np.eye(n))
+    Ds = perturbation_frame(n, m).Ds
+    assert np.array_equal(_ds_scaled(H, m), Ds @ H @ Ds)
 
 
 def test_classify_certificate_kinds(m0):

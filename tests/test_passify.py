@@ -108,6 +108,15 @@ def test_refinement_improves_a_two_state_model():
     )
 
 
+@pytest.mark.parametrize("tau", [1e-4, 1e-6])
+def test_analyze_distance_refines_at_a_coarse_tau(m_neg, tau):
+    # the refinement's feasibility band follows the given tau, so a start
+    # bracketed to width tau is feasible there
+    report = analyze_distance(m_neg, tau)
+    assert abs(report.xi_big - _neg_shift_oracle()) <= tau
+    assert report.sigma2 <= np.linalg.norm(report.delta_constrained, 2)
+
+
 def test_refine_distance_respects_tiny_budget(m_neg):
     xi_big, delta0 = constrained_distance(m_neg)
     cert = pick_certificate(m_neg, xi_big)
