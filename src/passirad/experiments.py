@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError, PassiradError
 from .kernels import DEFAULT_TOL, Tolerances, lambda_min
 from .kyp import _ds_scaled, build_W, build_Wtilde
 from .normalization import NormalizedRealization
-from .radius import geometric_mean_estimate, x_passivity_radius
+from .radius import _geometric_mean, x_passivity_radius
 from .system_model import StateSpaceModel, validate_minimal
 
 __all__ = [
@@ -146,12 +146,12 @@ def ensemble_experiment(
             realization = random_passive_system(n, m, child_seed, margin, tol)
             model = realization.model
             eye = np.eye(n)
-            rho = x_passivity_radius(model, eye, tol).rho
+            rep = x_passivity_radius(model, eye, tol)
+            # Wtilde(I) = What(I): the solve's ds_lower and frames give lam_ds and est
+            rho, lam_ds, search = rep.rho, rep.ds_lower, rep.search
             lam_w = lambda_min(build_W(model, eye))
-            Wt = build_Wtilde(model, eye)
-            lam_wt = lambda_min(Wt)
-            lam_ds = lambda_min(_ds_scaled(Wt, m))
-            est, _ = geometric_mean_estimate(model, tol)
+            lam_wt = lambda_min(build_Wtilde(model, eye))
+            est, _ = _geometric_mean(search.F1, search.F2, search.alpha, search.beta)
             rows.append(
                 EnsembleRow(
                     rho=rho,

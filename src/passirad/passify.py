@@ -25,7 +25,7 @@ from .kyp import (
     classify_certificate,
     perturbation_frame,
 )
-from .riccati import _stabilizing_solution, extremal_solutions
+from .riccati import _stabilizing_solution
 from .system_model import StateSpaceModel, _semi_simple, validate_minimal
 from .xi import _bracket_width, _shift_bisection, frequency_scan, shift_model
 
@@ -113,14 +113,9 @@ def pick_certificate(
 ) -> Certificate:
     """Certificate for the passified model: the stabilizing solution of
     the strictly passive side M_{-(xi+tau)}, the forward shift at level
-    -(xi+tau) (tau is tol.bisect_tau when None), or the extremal midpoint
-    when no shift was needed."""
-    x = float(xi_big)
-    if x > 0.0:
-        shifted = shift_model(model, -(x + _bracket_width(tau, tol))).model
-        return classify_certificate(shifted, _stabilizing_solution(shifted, tol)[0], tol)
-    sols = extremal_solutions(model, tol)
-    return classify_certificate(model, 0.5 * (sols.X_min + sols.X_max), tol)
+    -(xi+tau) (tau is tol.bisect_tau when None), for every xi >= 0."""
+    shifted = shift_model(model, -(float(xi_big) + _bracket_width(tau, tol))).model
+    return classify_certificate(shifted, _stabilizing_solution(shifted, tol)[0], tol)
 
 
 def _norm_of(delta: np.ndarray, norm: str) -> float:

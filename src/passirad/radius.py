@@ -25,7 +25,6 @@ from .kernels import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
-    cholesky,
     golden_section_min,
     lambda_max,
     lambda_min,
@@ -183,11 +182,21 @@ def minimize_gamma(F1, F2, tol: Tolerances = DEFAULT_TOL) -> GammaSearch:
 
 
 def _bordered_frames(
-    model: StateSpaceModel, X: np.ndarray, tol: Tolerances
+    model: StateSpaceModel, X, tol: Tolerances
 ) -> Tuple[np.ndarray, PerturbationFrame, np.ndarray, np.ndarray]:
-    """What(X) = R^H R, the embedding frame, and F1 = R^{-H} E1, F2 = R^{-H} E2."""
-    What = build_What(model, X)
-    R = cholesky(What, tol)
+    """What(X) = R^H R, the embedding frame, and F1 = R^{-H} E1, F2 = R^{-H} E2, for an
+    X that classify_certificate calls interior: by a Schur complement, What(X) > 0."""
+    cert = classify_certificate(model, X, tol)
+    lam_w = f"lambda_min W = {cert.lambda_min_W:.6e}"
+    if cert.kind is not CertificateKind.INTERIOR:
+        msg = f"certificate is {cert.kind.value}, radius needs an interior one ({lam_w})"
+        raise DefinitenessError(msg, lambda_min=cert.lambda_min_W)
+    What = build_What(model, cert.X)
+    try:
+        R = np.linalg.cholesky(What).conj().T
+    except np.linalg.LinAlgError as exc:
+        msg = f"What(X) is not numerically positive definite ({lam_w})"
+        raise DefinitenessError(msg, lambda_min=cert.lambda_min_W) from exc
     frame = perturbation_frame(model.n, model.m)
     F1 = scipy.linalg.solve_triangular(R, frame.E1.astype(np.complex128), trans="C", lower=False)
     F2 = scipy.linalg.solve_triangular(R, frame.E2.astype(np.complex128), trans="C", lower=False)
@@ -205,14 +214,7 @@ def x_passivity_radius(
     bordered certificate, and the closed-form bounds
     1/(2 alpha beta) <= rho <= 1/((1 + overlap) alpha beta) <= 1/(alpha beta).
     """
-    cert = classify_certificate(model, X, tol)
-    if cert.kind is not CertificateKind.INTERIOR:
-        raise DefinitenessError(
-            f"certificate is {cert.kind.value}, radius needs an interior one "
-            f"(lambda_min W = {cert.lambda_min_W:.6e})",
-            lambda_min=cert.lambda_min_W,
-        )
-    What, frame, F1, F2 = _bordered_frames(model, cert.X, tol)
+    What, frame, F1, F2 = _bordered_frames(model, X, tol)
     search = minimize_gamma(F1, F2, tol)
 
     rho = 1.0 / search.lambda_star
@@ -269,6 +271,12 @@ def _unitary_with_first_column(x: np.ndarray) -> np.ndarray:
     return alpha * P
 
 
+def _geometric_mean(F1, F2, alpha: float, beta: float) -> Tuple[float, float]:
+    """(gamma_objective at gamma_gm = sqrt(beta / alpha), gamma_gm)."""
+    gamma_gm = float(np.sqrt(beta / alpha))
+    return float(gamma_objective(F1, F2, gamma_gm)), gamma_gm
+
+
 def geometric_mean_estimate(
     model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL
 ) -> Tuple[float, float]:
@@ -280,10 +288,4 @@ def geometric_mean_estimate(
     est >= lambda_star always, so 1/est is a lower bound for the radius.
     """
     _, _, N1, N2 = _bordered_frames(model, np.eye(model.n), tol)
-    a = spectral_norm(N1)
-    b = spectral_norm(N2)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("degenerate identity certificate factors")
-    gamma_gm = float(np.sqrt(b / a))
-    est = gamma_objective(N1, N2, gamma_gm)
-    return float(est), gamma_gm
+    return _geometric_mean(N1, N2, spectral_norm(N1), spectral_norm(N2))

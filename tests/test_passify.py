@@ -7,7 +7,15 @@ from scipy.optimize import brentq
 
 from passirad import StateSpaceModel
 from passirad.errors import DomainError
-from passirad.kyp import CertificateKind, build_W
+from passirad.experiments import random_passive_system
+from passirad.kernels import DEFAULT_TOL, psd_margin
+from passirad.kyp import (
+    CertificateKind,
+    apply_perturbation,
+    build_W,
+    build_What,
+    perturbation_frame,
+)
 from passirad.passify import (
     analyze_distance,
     constrained_distance,
@@ -15,6 +23,7 @@ from passirad.passify import (
     pick_certificate,
     refine_distance,
 )
+from passirad.riccati import _stabilizing_solution
 from passirad.xi import ShiftDirection, frequency_scan, shift_model
 
 
@@ -115,6 +124,31 @@ def test_analyze_distance_refines_at_a_coarse_tau(m_neg, tau):
     report = analyze_distance(m_neg, tau)
     assert abs(report.xi_big - _neg_shift_oracle()) <= tau
     assert report.sigma2 <= np.linalg.norm(report.delta_constrained, 2)
+
+
+def test_passive_model_certificate_is_the_stabilizing_solution_at_level_minus_tau():
+    # an extremal midpoint would need X_max, whose solve raises ConditioningError here
+    model = random_passive_system(20, 2, seed=0).model
+    report = analyze_distance(model)
+    assert report.xi_big == 0.0
+    assert report.delta_refined is None
+    tau = DEFAULT_TOL.bisect_tau
+    X = _stabilizing_solution(shift_model(model, -tau).model, DEFAULT_TOL)[0]
+    assert np.array_equal(report.X_cert.X, X)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="refine_distance accepts a Delta whose bordered matrix is indefinite by up to "
+    "max(psd_tol, 10 bisect_tau) ||What||, so at a coarse tau sigma2 falls below xi_big",
+)
+@pytest.mark.parametrize("tau", [1e-3, 1e-4])
+def test_refined_perturbation_keeps_the_certificate_psd(m_neg, tau):
+    report = analyze_distance(m_neg, tau)
+    frame = perturbation_frame(m_neg.n, m_neg.m)
+    G = build_What(m_neg, report.X_cert.X) + apply_perturbation(frame, report.delta_refined)
+    lam, scale = psd_margin(G)
+    assert lam >= -DEFAULT_TOL.psd_tol * scale
 
 
 def test_refine_distance_respects_tiny_budget(m_neg):

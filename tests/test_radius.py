@@ -7,7 +7,13 @@ import pytest
 
 from passirad.errors import DefinitenessError
 from passirad.experiments import random_passive_system
-from passirad.kyp import apply_perturbation, build_What, perturbation_frame
+from passirad.kyp import (
+    CertificateKind,
+    apply_perturbation,
+    build_What,
+    classify_certificate,
+    perturbation_frame,
+)
 from passirad.radius import (
     dual_certificate,
     gamma_objective,
@@ -15,6 +21,7 @@ from passirad.radius import (
     minimize_gamma,
     x_passivity_radius,
 )
+from passirad.xi import optimal_certificate, xi_sup_eigenvalue
 
 # margin sup of {0.5, 1, 1, 1}: with s = 1 - xi, the boundary condition is
 # s^3 - 1.25 s + 0.5 = 0, whose relevant root gives xi = (2.5 - sqrt(4.25))/2.
@@ -146,3 +153,28 @@ def test_radius_rejects_non_interior_certificates(m0):
         x_passivity_radius(m0, np.array([[0.5]]))  # boundary
     with pytest.raises(DefinitenessError):
         x_passivity_radius(m0, np.array([[3.0]]))  # outside
+
+
+@pytest.mark.parametrize("n, m, count", [(10, 2, 12), (20, 2, 6), (30, 3, 6)])
+def test_radius_accepts_every_certificate_classified_interior(n, m, count, real_passive_system):
+    # optimal certificates below the margin are badly conditioned, so
+    # ||What(X)|| ~ ||X^{-1}|| is large; the radius takes classify_certificate's
+    # verdict and meets the benchmark's checks on every interior one
+    interior = 0
+    for seed in range(3):
+        for model in (random_passive_system(n, m, seed).model, real_passive_system(n, m, seed)):
+            xi_lo = xi_sup_eigenvalue(model).xi_lo
+            for f in (0.5, 0.9):
+                X = optimal_certificate(model, f * xi_lo)
+                if classify_certificate(model, X).kind is not CertificateKind.INTERIOR:
+                    continue
+                interior += 1
+                rep = x_passivity_radius(model, X)
+                rel = 1e-9 * rep.rho
+                assert rep.bound_lower <= rep.rho + rel
+                assert rep.rho <= rep.bound_upper_overlap + rel
+                assert rep.bound_upper_overlap <= rep.bound_upper + rel
+                assert rep.singularity_residual <= 1e-10
+                _, value = dual_certificate(rep.search)
+                assert abs(value - rep.search.lambda_star) <= 1e-9 * rep.search.lambda_star
+    assert interior == count

@@ -74,3 +74,35 @@ def test_a_certificate_makes_one_ordered_qz_and_the_extremal_pair_two(m0):
             tracer.uninstall()
         counts.append(tracer.metrics(ops=1, overhead_ratio=1.0)["lapack.ordqz.calls"])
     assert counts == [1, 2]
+
+
+
+def _span_counts(call, *names):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    ids = np.asarray(tracer.name_id)
+    return [int(np.count_nonzero(ids == tracer.names.index(name))) for name in names]
+
+
+def test_a_radius_solve_takes_the_classification_verdict_alone():
+    # What is factored with no second dead band: kernels.cholesky is not called
+    model = random_passive_system(5, 2, seed=3).model
+    counts = _span_counts(
+        lambda: radius.x_passivity_radius(model, np.eye(model.n)),
+        "kernels.cholesky",
+        "kyp.classify_certificate",
+    )
+    assert counts == [0, 1]
+
+
+def test_an_ensemble_row_reads_its_sample_s_one_radius_solve():
+    counts = _span_counts(
+        lambda: experiments.ensemble_experiment(2, 2, 1, seed=1),
+        "radius.geometric_mean_estimate",
+        "radius.x_passivity_radius",
+    )
+    assert counts == [0, 2]
