@@ -130,10 +130,11 @@ def ensemble_experiment(
 ) -> EnsembleResult:
     """Radius-estimate accuracy over a random normalized passive ensemble.
 
-    Each row compares the true radius at X = I, from one golden-section
-    solve at tol.golden_tol, against lambda_min of the plain, bordered, and
-    scaled certificate matrices and the single-point geometric-mean
-    estimate.  Degenerate samples are skipped and logged.
+    Each row compares the true radius at X = I, from one solve by golden
+    section with Brent's parabolic steps (a smooth minimum is found to
+    sqrt(eps), a kink to tol.golden_tol), against lambda_min of the plain,
+    bordered, and scaled certificate matrices and the single-point
+    geometric-mean estimate.  Degenerate samples are skipped and logged.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")

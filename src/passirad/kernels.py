@@ -10,6 +10,7 @@ matrices from outside the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Tuple
 
@@ -32,7 +33,9 @@ __all__ = [
     "golden_section_min",
 ]
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden bracket shrink factor
+_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0  # 1 - 1/phi, the golden step into the larger side
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,9 @@ class Tolerances:
                 the peripheral band of validate_minimal, asymptotic stability
                 in distance_to_stability, unimodular pencil eigenvalues
                 (frequency_scan, the Riccati solves)
-    golden_tol  golden-section bracket width (minimize_gamma), also a floor on
-                its top-eigenspace width
+    golden_tol  bracket width of minimize_gamma's golden section with Brent's
+                parabolic steps: a smooth minimum is found to sqrt(eps), a
+                kink to golden_tol; also a floor on its top-eigenspace width
     bisect_tau  bracket width of xi_sup_bisection, xi_sup_eigenvalue,
                 constrained_distance, pick_certificate and analyze_distance
                 when their tau is None; the feasibility band of refine_distance
@@ -180,11 +184,18 @@ def golden_section_min(
     b: float,
     tol_width: float,
 ) -> Tuple[float, float, int]:
-    """Golden-section minimization of a unimodal scalar function on [a, b].
+    """Minimize a unimodal scalar function on [a, b] by golden section with
+    Brent's parabolic steps (Brent, Algorithms for Minimization without
+    Derivatives, 1973).
 
-    Shrinks the bracket by the golden ratio until its width is at most
-    ``tol_width``.  Returns (x_best, f_best, evaluation_count); the number
-    of evaluations is O(log((b - a) / tol_width)).
+    A parabola through the three best points proposes each step; a golden
+    step replaces it when it leaves the bracket or does not halve the step
+    before last.  The search stops when the bracket is at most ``tol_width``
+    wide, or earlier when Brent's test holds (the best point within about
+    sqrt(eps)|x| of both bracket ends) and f at the three best points agrees
+    to 4 eps |f(x)|: a smooth minimum is found to sqrt(eps), where values no
+    longer separate, and a kink, whose values still differ to first order,
+    to ``tol_width``.  Returns (x_best, f_best, evaluation_count).
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise DomainError(f"invalid bracket [{a}, {b}]")
@@ -199,18 +210,42 @@ def golden_section_min(
         return float(f(x))
 
     lo, hi = float(a), float(b)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = call(c), call(d)
+    x = w = v = lo + _CGOLD * (hi - lo)
+    fx = fw = fv = call(x)
+    d = e = 0.0  # the last step and the one before it
     while hi - lo > tol_width:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = call(c)
+        # no step is shorter than tol1; where Brent's test holds but f is not
+        # flat (a kink), tol1 drops to tol_width / 4 so the bracket can reach it
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol_width
+        if max(x - lo, hi - x) <= 2.0 * tol1:
+            if evals >= 3 and max(abs(fw - fx), abs(fv - fx)) <= 4.0 * _EPS * abs(fx):
+                break
+            tol1 = 0.25 * tol_width
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                e, d = d, p / q
+                if min(x + d - lo, hi - x - d) < 2.0 * tol1:
+                    d = tol1 if x < mid else -tol1
+        if golden:
+            e = (lo if x >= mid else hi) - x
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = call(u)
+        if fu <= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = call(d)
-    if fc <= fd:
-        return c, fc, evals
-    return d, fd, evals
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, evals

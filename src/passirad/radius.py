@@ -112,8 +112,9 @@ def _balanced_top_eigenvector(
     w, V = np.linalg.eigh(M)
     lam = float(w[-1])
     scale = max(abs(lam), 1.0)
-    # the search places gamma within golden_tol of the minimizer, where
-    # crossing eigenvalue branches are still split by O(golden_tol)
+    # the search (golden section with Brent's parabolic steps) places gamma
+    # within sqrt(eps) of a smooth minimizer and within golden_tol of a kink,
+    # where crossing eigenvalue branches are still split by O(golden_tol)
     cluster_tol = max(
         tol.eig_tol * scale,
         10.0 * tol.golden_tol * scale,
@@ -141,11 +142,13 @@ def _balanced_top_eigenvector(
 
 
 def minimize_gamma(F1, F2, tol: Tolerances = DEFAULT_TOL) -> GammaSearch:
-    """Golden-section minimization of gamma_objective over its provable bracket.
+    """Minimize gamma_objective over its provable bracket by golden section
+    with Brent's parabolic steps.
 
     The bracket [sqrt(beta/(2 alpha)), sqrt(2 beta/alpha)] always contains
     a global minimizer of the unimodal objective, where alpha = ||F1|| and
-    beta = ||F2||.
+    beta = ||F2||.  A smooth minimum is found to sqrt(eps), a kink (crossing
+    top eigenvalues) to golden_tol.
     """
     A1, A2 = _validate_frames(F1, F2)
     alpha = spectral_norm(A1)

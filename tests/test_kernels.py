@@ -148,6 +148,15 @@ def test_golden_section_min_quadratic():
     assert evals > 0
 
 
+def test_golden_section_min_takes_parabolic_steps_on_a_smooth_minimum():
+    # the parabola through three points of a quadratic lands on its minimizer;
+    # golden steps alone would need 54 evaluations for this bracket
+    x, fx, evals = golden_section_min(lambda t: (t - 2.0) ** 2 + 3.0, 0.0, 5.0, 1e-10)
+    assert evals <= 10
+    assert x == pytest.approx(2.0, abs=1e-7)
+    assert fx == pytest.approx(3.0, abs=1e-14)
+
+
 def test_golden_section_min_kinked_objective():
     # unimodal but non-smooth at the minimizer, like the radius search
     x, fx, _ = golden_section_min(lambda t: max(t, 1.0 / t), 0.25, 4.0, 1e-12)

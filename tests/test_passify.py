@@ -210,8 +210,9 @@ def test_stability_distance_semisimple_peripheral_modes():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 5: the peripheral band max(1e-8, 10 eps^(1/n)) pulls the "
-    "near-defective inner block into the cluster of the simple eigenvalue 1",
+    reason="ROADMAP item 12 (the stability band): the peripheral band "
+    "max(1e-8, 10 eps^(1/n)) pulls the near-defective inner block into the cluster "
+    "of the simple eigenvalue 1",
 )
 def test_stability_distance_near_defective_inner_block():
     J = np.array([[0.99999, 1.0], [0.0, 0.99999]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from passirad.errors import DefinitenessError
-from passirad.experiments import random_passive_system
+from passirad.experiments import ensemble_experiment, random_passive_system
 from passirad.kyp import (
     CertificateKind,
     apply_perturbation,
@@ -21,6 +21,7 @@ from passirad.radius import (
     minimize_gamma,
     x_passivity_radius,
 )
+from passirad.system_model import StateSpaceModel
 from passirad.xi import optimal_certificate, xi_sup_eigenvalue
 
 # margin sup of {0.5, 1, 1, 1}: with s = 1 - xi, the boundary condition is
@@ -77,6 +78,45 @@ def test_gamma_objective_is_minimal_at_the_search_point(m0):
     assert val == pytest.approx(rep.search.lambda_star, rel=1e-12)
     for factor in (0.9, 0.99, 1.01, 1.1):
         assert gamma_objective(F1, F2, g * factor) >= val - 1e-9
+
+
+def test_minimize_gamma_needs_few_evaluations_and_attains_the_dual_value():
+    model = random_passive_system(40, 4, seed=1).model
+    rep = x_passivity_radius(model, np.eye(40))
+    search = minimize_gamma(rep.search.F1, rep.search.F2)
+    assert search.f_evals <= 25
+    # the unitary dual certificate reaches lambda_star only at the minimum
+    _, value = dual_certificate(search)
+    assert value == pytest.approx(search.lambda_star, rel=1e-9)
+
+
+def _assert_radius_workload_checks(model):
+    rep = x_passivity_radius(model, np.eye(model.n))
+    rel = 1e-9 * rep.rho
+    assert rep.bound_lower <= rep.rho + rel
+    assert rep.rho <= rep.bound_upper_overlap + rel
+    assert rep.bound_upper_overlap <= rep.bound_upper + rel
+    assert rep.singularity_residual <= 1e-10
+    _, value = dual_certificate(rep.search)
+    assert abs(value - rep.search.lambda_star) <= 1e-9 * rep.search.lambda_star
+
+
+def test_search_stops_only_where_the_witness_checks_hold(m0, m_flat):
+    # an early stop of the gamma search, on a gap in f or at sqrt(eps) on a
+    # kink, shows as a broken bound chain, a non-singular perturbed matrix or
+    # a dual value short of lambda_star
+    for n, m in ((10, 2), (20, 3), (40, 4)):
+        for seed in range(4):
+            _assert_radius_workload_checks(random_passive_system(n, m, seed).model)
+    flat = [
+        StateSpaceModel(np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n)), np.eye(m))
+        for n, m in ((1, 1), (2, 2))
+    ]
+    for model in (m0, m_flat, *flat):
+        _assert_radius_workload_checks(model)
+    res = ensemble_experiment(50, 5, 2, 1)
+    assert res.skipped == 0
+    assert all(row.est_times_rho >= 1.0 - 1e-3 for row in res.rows)
 
 
 def test_minimize_gamma_matches_dense_grid():

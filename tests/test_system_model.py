@@ -200,8 +200,8 @@ def test_dissipation_rejects_mismatched_input_rows(m0):
 @pytest.mark.xfail(
     strict=True,
     raises=ConvergenceError,
-    reason="ROADMAP item 5: the Krylov rank test of validate_minimal calls robustly "
-    "minimal draws non-minimal when powers of A decay",
+    reason="ROADMAP item 3 (the staircase): the Krylov rank test of validate_minimal "
+    "calls robustly minimal draws non-minimal when powers of A decay",
 )
 @pytest.mark.parametrize("n, m", [(20, 1), (50, 3)])
 def test_random_passive_system_draws_at_moderate_order(n, m):
