@@ -317,7 +317,7 @@ def _cmd_passify(args, tol: Tolerances) -> dict:
     model, _ = parse_model(args.model)
     warnings: List[str] = []
     norm = "fro" if args.norm == "fro" else "2"
-    report = analyze_distance(model, norm=norm, budget=args.budget, tol=tol)
+    report = analyze_distance(model, norm=norm, tol=tol)
     results = {
         "xi_big": report.xi_big,
         "constrained_norm2": float(np.linalg.norm(report.delta_constrained, 2)),
@@ -419,7 +419,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--tau", dest="bisect_tau", type=float, default=None, help="bracket width target")
     p.add_argument("--norm", choices=["2", "fro"], default="2")
-    p.add_argument("--budget", type=int, default=2000, help="projection sweep budget")
 
     p = sub.add_parser("stability", parents=[common], help="distance to stability of A")
     p.add_argument("--model", required=True)

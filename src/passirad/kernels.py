@@ -51,8 +51,7 @@ class Tolerances:
                 (closed_loop), the phase pivot of canonical_form
     psd_tol     relative definiteness dead band, against the scale of
                 psd_margin: cholesky, classify_certificate, verify_normalized,
-                the positivity test of frequency_scan, the feasibility band
-                of refine_distance
+                the positivity test of frequency_scan
     eig_tol     relative width of the top eigenspace in minimize_gamma
     circle_tol  dead band around the unit circle: asymptotic stability and
                 the peripheral band of validate_minimal, asymptotic stability
@@ -63,7 +62,7 @@ class Tolerances:
                 kink to golden_tol; also a floor on its top-eigenspace width
     bisect_tau  bracket width of xi_sup_bisection, xi_sup_eigenvalue,
                 constrained_distance, pick_certificate and analyze_distance
-                when their tau is None; the feasibility band of refine_distance
+                when their tau is None, and of refine_distance's D-only search
     """
 
     rank_tol: float = 1e-10

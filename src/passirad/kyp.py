@@ -15,7 +15,7 @@ radius and margin computations:
 
 Wtilde = diag(X, I, I) What diag(X, I, I), and the Schur complement of
 the leading block of Wtilde is W(X).  The (n, n, m) row split of these forms,
-the perturbation embedding, its read-back and the Ds scaling live only here.
+the perturbation embedding and the Ds scaling live only here.
 """
 
 from __future__ import annotations
@@ -149,14 +149,6 @@ def apply_perturbation(frame: PerturbationFrame, delta) -> np.ndarray:
     P[:n, n:] = Delta[:n]
     P[2 * n :, n:] = Delta[n:]
     return P + P.conj().T
-
-
-def _read_perturbation(G: np.ndarray, n: int) -> np.ndarray:
-    """The Delta that apply_perturbation embeds in G; the dD block is halved,
-    since its embedding is dD + dD^H."""
-    out = np.concatenate([G[:n, n:], G[2 * n :, n:]])
-    out[n:, n:] *= 0.5
-    return out
 
 
 def _ds_scaled(H: np.ndarray, m: int) -> np.ndarray:

@@ -4,8 +4,10 @@ The backward-shifted family M_{-xi} = {A, B, C, D + xi*I} / (1 + xi) is
 passive for all xi past some smallest value; that value is found by a
 doubling-plus-bisection search and realized as the structured
 perturbation Delta = (diag(0, xi*I) - xi*S) / (1 + xi) of the assembled
-system matrix S, which maps M exactly onto M_{-xi}.  A fixed-certificate
-LMI refinement then tries to shrink the perturbation norm.
+system matrix S, which maps M exactly onto M_{-xi}.  For a stable A the
+least shift of D alone, {A, B, C, D + c*I} with the spectral function
+Phi + 2cI, is found by the same scan-decided bisection and returned
+instead whenever it is smaller.
 """
 
 from __future__ import annotations
@@ -16,15 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix, lambda_min, psd_margin
-from .kyp import (
-    Certificate,
-    _read_perturbation,
-    apply_perturbation,
-    build_What,
-    classify_certificate,
-    perturbation_frame,
-)
+from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix
+from .kyp import Certificate, classify_certificate
 from .riccati import _stabilizing_solution
 from .system_model import StateSpaceModel, _semi_simple, validate_minimal
 from .xi import _bracket_width, _shift_bisection, frequency_scan, shift_model
@@ -42,7 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Distance-to-passivity bundle: shift level, perturbations, norms."""
+    """Distance-to-passivity bundle: delta_constrained realizes the shift
+    xi_big, delta_refined (None for a passive model) is the smaller of it and
+    the least D-only shift, with norms sigma2 and sigma_frob.
+    refinement_converged is always True and keeps the CLI report's schema."""
 
     xi_big: float
     delta_constrained: np.ndarray
@@ -96,7 +94,9 @@ def constrained_distance(
         doublings += 1
         if doublings > 80:
             raise ConvergenceError(f"no passive backward shift found up to {hi:.3e}")
-    level, _, _, _ = _shift_bisection(model, -hi, -lo, t, tol, lambda scan: scan.passive)
+    level, _, _, _ = _shift_bisection(
+        lambda x: shift_model(model, x).model, -hi, -lo, t, tol, lambda scan: scan.passive
+    )
     xi_big = -level
     S = model.system_matrix()
     target = np.zeros((nm, nm), dtype=np.complex128)
@@ -119,114 +119,45 @@ def pick_certificate(
 
 
 def _norm_of(delta: np.ndarray, norm: str) -> float:
-    if norm == "fro":
-        return float(np.linalg.norm(delta, "fro"))
-    return float(np.linalg.norm(delta, 2))
-
-
-def _ball_projection(delta: np.ndarray, sigma: float, norm: str) -> np.ndarray:
-    if norm == "fro":
-        nrm = np.linalg.norm(delta, "fro")
-        if nrm <= sigma or nrm == 0.0:
-            return delta
-        return delta * (sigma / nrm)
-    U, s, V = np.linalg.svd(delta, full_matrices=False)
-    return (U * np.minimum(s, sigma)) @ V.conj().T
-
-
-def _psd_readback(delta: np.ndarray, What0: np.ndarray, frame) -> np.ndarray:
-    """Clip the assembled certificate matrix to the PSD cone and read the
-    perturbation blocks back through the embedding frame."""
-    G = What0 + apply_perturbation(frame, delta)
-    w, V = np.linalg.eigh(G)
-    Gplus = (V * np.maximum(w, 0.0)) @ V.conj().T
-    return _read_perturbation(Gplus - What0, frame.n)
+    return float(np.linalg.norm(delta, "fro" if norm == "fro" else 2))
 
 
 def refine_distance(
     model: StateSpaceModel,
-    X,
     delta0: np.ndarray,
     norm: str = "2",
-    budget: int = 2000,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Tuple[np.ndarray, float, bool]:
-    """Shrink a feasible perturbation at a fixed certificate.
+    """(Delta, ||Delta||, True) for the smaller of delta0 and the least D-only
+    shift diag(0, c*I), which is the least perturbation of D alone in both
+    norms, since {A, B, C, D + cI} has the spectral function Phi + 2cI.
 
-    Bisects the norm level sigma and tests each level for a Delta with
-    ||Delta|| <= sigma keeping the bordered certificate matrix PSD, via
-    alternating projections with Dykstra corrections (norm ball one way,
-    eigenvalue clipping plus block readback the other).  Never returns a
-    worse perturbation than delta0; converged=False flags a stalled
-    search with the best feasible point so far.
+    c is bisected on [0, ||delta0||] (over sqrt(m) for "fro") to width
+    tol.bisect_tau and realized at the passing end plus that width.  delta0
+    comes back as is when D + ||delta0||*I is not passive (an unstable A
+    among others) or when the D-only shift is not smaller.
     """
     if norm not in ("2", "fro"):
         raise DomainError(f"norm must be '2' or 'fro', got {norm!r}")
     delta0 = as_complex_matrix(delta0, "delta0")
-    nm = model.n + model.m
-    if delta0.shape != (nm, nm):
-        raise DomainError(f"delta0 must be {nm}x{nm}, got {delta0.shape}")
-    frame = perturbation_frame(model.n, model.m)
-    What0 = build_What(model, X)
-    _, scale = psd_margin(What0)
-    band = max(tol.psd_tol, 10.0 * tol.bisect_tau) * scale
-
-    def defect(delta: np.ndarray) -> float:
-        return -min(0.0, lambda_min(What0 + apply_perturbation(frame, delta)))
-
-    if defect(delta0) > band:
-        raise DomainError(
-            f"starting perturbation is infeasible (PSD defect {defect(delta0):.3e} > {band:.3e})"
-        )
+    n, m = model.n, model.m
+    if delta0.shape != (n + m, n + m):
+        raise DomainError(f"delta0 must be {n + m}x{n + m}, got {delta0.shape}")
     sigma0 = _norm_of(delta0, norm)
-    if sigma0 == 0.0:
-        return delta0, 0.0, True
 
-    def try_level(sigma: float, start: np.ndarray, sweeps: int) -> Tuple[Optional[np.ndarray], int]:
-        x = _ball_projection(start, sigma, norm)
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        best_defect = np.inf
-        stall = 0
-        used = 0
-        for _ in range(sweeps):
-            used += 1
-            y = _ball_projection(x + p, sigma, norm)
-            p = x + p - y
-            d = defect(y)
-            if d <= band:
-                return y, used
-            if d < best_defect - 1e-12:
-                best_defect = d
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 50:
-                    break
-            z = _psd_readback(y + q, What0, frame)
-            q = y + q - z
-            x = z
-        return None, used
+    def d_shifted(c: float) -> StateSpaceModel:
+        return StateSpaceModel(model.A, model.B, model.C, model.D + c * np.eye(m))
 
-    lo, hi = 0.0, sigma0
-    best = delta0
-    remaining = int(budget)
-    converged = True
-    while hi - lo > max(1e-3 * sigma0, 1e-12):
-        if remaining <= 0:
-            converged = False
-            break
-        mid = 0.5 * (lo + hi)
-        candidate, used = try_level(mid, best, min(300, remaining))
-        remaining -= used
-        if candidate is not None:
-            hi = mid
-            best = candidate
-        else:
-            lo = mid
-    if defect(best) > band or _norm_of(best, norm) > sigma0 + band:
-        return delta0, sigma0, False
-    return best, _norm_of(best, norm), converged
+    hi = sigma0 / np.sqrt(m) if norm == "fro" else sigma0
+    if not frequency_scan(d_shifted(hi), tol).passive:
+        return delta0, sigma0, True
+    _, c_hi, _, _ = _shift_bisection(
+        d_shifted, 0.0, hi, tol.bisect_tau, tol, lambda scan: not scan.passive
+    )
+    delta_d = np.zeros_like(delta0)
+    delta_d[n:, n:] = (c_hi + tol.bisect_tau) * np.eye(m)
+    sigma_d = _norm_of(delta_d, norm)
+    return (delta_d, sigma_d, True) if sigma_d < sigma0 else (delta0, sigma0, True)
 
 
 def distance_to_stability(A, tol: Tolerances = DEFAULT_TOL) -> StabilityDistance:
@@ -253,20 +184,21 @@ def analyze_distance(
     model: StateSpaceModel,
     tau: Optional[float] = None,
     norm: str = "2",
-    budget: int = 2000,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DistanceReport:
-    """Full distance-to-passivity pipeline: constrained shift, certificate,
-    and norm refinement.  A given tau replaces tol.bisect_tau throughout, so
-    the refinement's feasibility band matches the shift bracket width."""
+    """Constrained shift, refine_distance, and one certificate: that of
+    pick_certificate when delta0 is kept, else the stabilizing solution of
+    S + delta_refined.  A given tau replaces tol.bisect_tau throughout."""
     tol = replace(tol, bisect_tau=_bracket_width(tau, tol))
     xi_big, delta0 = constrained_distance(model, tol=tol)
-    cert = pick_certificate(model, xi_big, tol=tol)
     if xi_big == 0.0:
-        return DistanceReport(0.0, delta0, cert, None, 0.0, 0.0, True)
-    refined, _, converged = refine_distance(
-        model, cert.X, delta0, norm=norm, budget=budget, tol=tol
-    )
+        return DistanceReport(0.0, delta0, pick_certificate(model, 0.0, tol=tol), None, 0.0, 0.0, True)
+    refined, _, converged = refine_distance(model, delta0, norm=norm, tol=tol)
+    if np.array_equal(refined, delta0):
+        cert = pick_certificate(model, xi_big, tol=tol)
+    else:
+        passified = StateSpaceModel(model.A, model.B, model.C, model.D + refined[model.n :, model.n :])
+        cert = classify_certificate(passified, _stabilizing_solution(passified, tol)[0], tol)
     return DistanceReport(
         xi_big=xi_big,
         delta_constrained=delta0,

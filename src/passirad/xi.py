@@ -296,18 +296,18 @@ def _bracket_width(tau: Optional[float], tol: Tolerances) -> float:
 
 
 def _shift_bisection(
-    model: StateSpaceModel,
+    model_at: Callable[[float], StateSpaceModel],
     lo: float,
     hi: float,
     tau: float,
     tol: Tolerances,
     accept: Callable[[FrequencyScan], bool],
 ) -> Tuple[float, float, int, Tuple[float, ...]]:
-    """Bisect the forward shift level on [lo, hi] to width tau.
+    """Bisect the level of the model family model_at on [lo, hi] to width tau.
 
-    accept must hold on the shifted model at lo and fail at hi.  Returns
+    accept must hold on model_at(lo) and fail on model_at(hi).  Returns
     the final bracket, the number of steps and the circle zeros of the
-    last shift that failed (empty when none did).
+    last level that failed (empty when none did).
     """
     witness: Tuple[float, ...] = ()
     steps = 0
@@ -316,7 +316,7 @@ def _shift_bisection(
         if steps > 200:
             raise ConvergenceError(f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]")
         mid = 0.5 * (lo + hi)
-        scan = frequency_scan(shift_model(model, mid).model, tol)
+        scan = frequency_scan(model_at(mid), tol)
         if accept(scan):
             lo = mid
         else:
@@ -338,7 +338,12 @@ def xi_sup_bisection(
     if not scan0.strictly_passive:
         return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
     lo, hi, steps, witness = _shift_bisection(
-        model, 0.0, xi_upper_bound(model), t, tol, lambda scan: scan.strictly_passive
+        lambda x: shift_model(model, x).model,
+        0.0,
+        xi_upper_bound(model),
+        t,
+        tol,
+        lambda scan: scan.strictly_passive,
     )
     return XiResult(lo, hi, steps, XiMethod.BISECTION, witness)
 

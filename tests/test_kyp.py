@@ -11,7 +11,6 @@ from passirad.experiments import random_passive_system
 from passirad.kyp import (
     CertificateKind,
     _ds_scaled,
-    _read_perturbation,
     apply_perturbation,
     build_W,
     build_What,
@@ -133,16 +132,6 @@ def test_apply_perturbation_is_the_frame_formula_exactly(n, m):
     delta = _complex_delta(np.random.default_rng(n + 10 * m), n + m)
     P = frame.E1 @ delta @ frame.E2.T
     assert np.array_equal(apply_perturbation(frame, delta), P + P.conj().T)
-
-
-@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 1), (10, 2)])
-def test_read_perturbation_inverts_the_embedding(n, m):
-    frame = perturbation_frame(n, m)
-    delta = _complex_delta(np.random.default_rng(7 * n + m), n + m)
-    expected = delta.copy()
-    dD = delta[n:, n:]
-    expected[n:, n:] = 0.5 * (dD + dD.conj().T)
-    assert np.array_equal(_read_perturbation(apply_perturbation(frame, delta), n), expected)
 
 
 @pytest.mark.parametrize("n, m", [(5, 2), (40, 4)])
