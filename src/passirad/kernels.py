@@ -60,9 +60,10 @@ class Tolerances:
     golden_tol  bracket width of minimize_gamma's golden section with Brent's
                 parabolic steps: a smooth minimum is found to sqrt(eps), a
                 kink to golden_tol; also a floor on its top-eigenspace width
-    bisect_tau  bracket width of xi_sup_bisection, xi_sup_eigenvalue,
-                constrained_distance, pick_certificate and analyze_distance
-                when their tau is None, and of refine_distance's D-only search
+    bisect_tau  bracket width of xi_sup_bisection and xi_sup_eigenvalue,
+                the probe step of the constrained_distance and D-only level
+                sets (each probes tau/2 past its bound), and the level gap of
+                pick_certificate, when their tau is None
     """
 
     rank_tol: float = 1e-10

@@ -2,12 +2,14 @@
 
 The backward-shifted family M_{-xi} = {A, B, C, D + xi*I} / (1 + xi) is
 passive for all xi past some smallest value; that value is found by a
-doubling-plus-bisection search and realized as the structured
-perturbation Delta = (diag(0, xi*I) - xi*S) / (1 + xi) of the assembled
-system matrix S, which maps M exactly onto M_{-xi}.  For a stable A the
-least shift of D alone, {A, B, C, D + c*I} with the spectral function
-Phi + 2cI, is found by the same scan-decided bisection and returned
-instead whenever it is smaller.
+level-set search on the frequency-pinned pencil of xi.py and realized as
+the structured perturbation Delta = (diag(0, xi*I) - xi*S) / (1 + xi) of
+the assembled system matrix S, which maps M exactly onto M_{-xi}.  For a
+stable A the least shift of D alone, {A, B, C, D + c*I} with the spectral
+function Phi + 2cI, is found by a level-set search on lambda_min Phi and
+returned instead whenever it is smaller (Boyd & Balakrishnan 1990,
+Bruinsma & Steinbuch 1990).  Both searches return only scan-verified
+passive levels.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .kernels import DEFAULT_TOL, Tolerances, as_complex_matrix
 from .kyp import Certificate, classify_certificate
 from .riccati import _stabilizing_solution
 from .system_model import StateSpaceModel, _semi_simple, validate_minimal
-from .xi import _bracket_width, _shift_bisection, frequency_scan, shift_model
+from .xi import FrequencyScan, _bracket_width, _pinned_roots, frequency_scan, shift_model, xi_upper_bound
 
 __all__ = [
     "DistanceReport",
@@ -61,6 +63,19 @@ class StabilityDistance:
     spectral_radius: float
 
 
+def _root_bound(model: StateSpaceModel, scan: FrequencyScan, level: float) -> float:
+    """Least, over the scan's violation-arc midpoints, of the largest pinned
+    root below level (level itself when there is none).  At such a midpoint
+    every forward level between that root and level fails."""
+    bound = level
+    for omega, _, _ in scan.violations:
+        roots = _pinned_roots(model, omega)
+        below = roots[roots < level]
+        if below.size:
+            bound = min(bound, float(below[-1]))
+    return bound
+
+
 def constrained_distance(
     model: StateSpaceModel,
     tau: Optional[float] = None,
@@ -69,11 +84,13 @@ def constrained_distance(
     """Smallest backward shift making the model passive, with its
     realizing perturbation of the system matrix.
 
-    Returns (0, 0) for an already-passive model.  Otherwise brackets the
-    shift by doubling, bisects the monotone passivity predicate to width
-    tau (tol.bisect_tau when None), and returns the certified-passing
-    bracket end.  The backward shift by xi is the forward shift by -xi, so
-    both phases run on forward levels, where the passing end is the lower.
+    Returns (0, 0) for an already-passive model.  The backward shift by xi
+    is the forward shift by -xi, so the search runs on forward levels,
+    where the passing ones are the lower.  An upper bound on them starts at
+    min(0, 1 - rho(A)) and the level-0 scan's root bound; each step scans
+    the probe upper - tau/2 (tau is tol.bisect_tau when None), returns
+    xi_big = -probe when it is passive, and else lowers upper to the
+    probe's root bound, which is at least tau/2 lower.
     """
     report = validate_minimal(model, tol)
     if not report.minimal:
@@ -83,20 +100,18 @@ def constrained_distance(
         )
     t = _bracket_width(tau, tol)
     nm = model.n + model.m
-    if frequency_scan(model, tol).passive:
+    scan = frequency_scan(model, tol)
+    if scan.passive:
         return 0.0, np.zeros((nm, nm), dtype=np.complex128)
-    lo = 0.0
-    hi = max(t, model.spectral_radius - 1.0 + t)
-    doublings = 0
-    while not frequency_scan(shift_model(model, -hi).model, tol).passive:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > 80:
-            raise ConvergenceError(f"no passive backward shift found up to {hi:.3e}")
-    level, _, _, _ = _shift_bisection(
-        lambda x: shift_model(model, x).model, -hi, -lo, t, tol, lambda scan: scan.passive
-    )
+    upper = _root_bound(model, scan, min(0.0, xi_upper_bound(model)))
+    for _ in range(100):
+        level = upper - 0.5 * t
+        scan = frequency_scan(shift_model(model, level).model, tol)
+        if scan.passive:
+            break
+        upper = _root_bound(model, scan, level)
+    else:
+        raise ConvergenceError(f"level-set iteration cap reached at backward shift {-upper:.12e}")
     xi_big = -level
     S = model.system_matrix()
     target = np.zeros((nm, nm), dtype=np.complex128)
@@ -132,10 +147,12 @@ def refine_distance(
     shift diag(0, c*I), which is the least perturbation of D alone in both
     norms, since {A, B, C, D + cI} has the spectral function Phi + 2cI.
 
-    c is bisected on [0, ||delta0||] (over sqrt(m) for "fro") to width
-    tol.bisect_tau and realized at the passing end plus that width.  delta0
-    comes back as is when D + ||delta0||*I is not passive (an unstable A
-    among others) or when the D-only shift is not smaller.
+    Hence c = level - lambda/2, with lambda the least lambda_min Phi over a
+    scan's violation-arc midpoints at the level D + level*I, is a lower
+    bound on c*.  Starting from level 0, each step scans c + tau/2 (tau is
+    tol.bisect_tau) and realizes c + tau once that scan is passive.  delta0
+    comes back as is for an unstable A, once c + tau exceeds ||delta0||
+    (over sqrt(m) for "fro"), or when the D-only shift is not smaller.
     """
     if norm not in ("2", "fro"):
         raise DomainError(f"norm must be '2' or 'fro', got {norm!r}")
@@ -144,18 +161,30 @@ def refine_distance(
     if delta0.shape != (n + m, n + m):
         raise DomainError(f"delta0 must be {n + m}x{n + m}, got {delta0.shape}")
     sigma0 = _norm_of(delta0, norm)
+    if model.spectral_radius >= 1.0:
+        return delta0, sigma0, True
 
     def d_shifted(c: float) -> StateSpaceModel:
-        return StateSpaceModel(model.A, model.B, model.C, model.D + c * np.eye(m))
+        # same A, so the same spectrum: reuse the base model's cached one
+        shifted = StateSpaceModel(model.A, model.B, model.C, model.D + c * np.eye(m))
+        object.__setattr__(shifted, "eigenvalues", model.eigenvalues)
+        return shifted
 
     hi = sigma0 / np.sqrt(m) if norm == "fro" else sigma0
-    if not frequency_scan(d_shifted(hi), tol).passive:
-        return delta0, sigma0, True
-    _, c_hi, _, _ = _shift_bisection(
-        d_shifted, 0.0, hi, tol.bisect_tau, tol, lambda scan: not scan.passive
-    )
+    t = tol.bisect_tau
+    level, scan = 0.0, frequency_scan(model, tol)
+    for _ in range(100):
+        c = level - 0.5 * min((lam for _, _, lam in scan.violations), default=0.0)
+        if c + t > hi:
+            return delta0, sigma0, True
+        level = c + 0.5 * t
+        scan = frequency_scan(d_shifted(level), tol)
+        if scan.passive:
+            break
+    else:
+        raise ConvergenceError(f"level-set iteration cap reached at D-only shift {level:.12e}")
     delta_d = np.zeros_like(delta0)
-    delta_d[n:, n:] = (c_hi + tol.bisect_tau) * np.eye(m)
+    delta_d[n:, n:] = (c + t) * np.eye(m)
     sigma_d = _norm_of(delta_d, norm)
     return (delta_d, sigma_d, True) if sigma_d < sigma0 else (delta0, sigma0, True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -246,14 +246,10 @@ def gamma_xi_omega(model: StateSpaceModel, xi: float, omega: float) -> float:
     return lambda_min(G)
 
 
-def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:
-    """Ascending real roots in (0, 1) of the frequency-pinned shift pencil.
-
-    The pencil Gamma0(omega) + xi*K(omega) is Hermitian with K^2 = I; its
-    real eigenvalues are the shifts at which e^{i omega} becomes a zero
-    (or pole) of the shifted model's spectral function, because the
-    bordered form's Schur complement is (1 - xi)/2 times that function.
-    """
+def _pinned_roots(model: StateSpaceModel, omega: float) -> np.ndarray:
+    """Every real eigenvalue, ascending, of the pencil of xi_roots_at_omega:
+    the forward levels (backward ones are negative) at which e^{i omega}
+    is a zero or pole of the shifted model's spectral function."""
     n, m = model.n, model.m
     z = np.exp(1j * float(omega))
     Z = np.zeros((n, n))
@@ -263,9 +259,19 @@ def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:
     )
     K = _bordered(Z, Z, z * np.eye(n), np.zeros((n, m)), np.zeros((m, n)), -np.eye(m))
     lams = scipy.linalg.eig(G0, -K, right=False)
-    real = lams[np.abs(lams.imag) <= 1e-8 * (1.0 + np.abs(lams))].real
-    inside = real[(real > 1e-12) & (real < 1.0 - 1e-10)]
-    return np.sort(inside)
+    return np.sort(lams[np.abs(lams.imag) <= 1e-8 * (1.0 + np.abs(lams))].real)
+
+
+def xi_roots_at_omega(model: StateSpaceModel, omega: float) -> np.ndarray:
+    """Ascending real roots in (0, 1) of the frequency-pinned shift pencil.
+
+    The pencil Gamma0(omega) + xi*K(omega) is Hermitian with K^2 = I; its
+    real eigenvalues are the shifts at which e^{i omega} becomes a zero
+    (or pole) of the shifted model's spectral function, because the
+    bordered form's Schur complement is (1 - xi)/2 times that function.
+    """
+    roots = _pinned_roots(model, omega)
+    return roots[(roots > 1e-12) & (roots < 1.0 - 1e-10)]
 
 
 def _require_minimal(model: StateSpaceModel, tol: Tolerances) -> None:
@@ -295,56 +301,33 @@ def _bracket_width(tau: Optional[float], tol: Tolerances) -> float:
     return t
 
 
-def _shift_bisection(
-    model_at: Callable[[float], StateSpaceModel],
-    lo: float,
-    hi: float,
-    tau: float,
-    tol: Tolerances,
-    accept: Callable[[FrequencyScan], bool],
-) -> Tuple[float, float, int, Tuple[float, ...]]:
-    """Bisect the level of the model family model_at on [lo, hi] to width tau.
-
-    accept must hold on model_at(lo) and fail on model_at(hi).  Returns
-    the final bracket, the number of steps and the circle zeros of the
-    last level that failed (empty when none did).
-    """
-    witness: Tuple[float, ...] = ()
-    steps = 0
-    while hi - lo > tau:
-        steps += 1
-        if steps > 200:
-            raise ConvergenceError(f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]")
-        mid = 0.5 * (lo + hi)
-        scan = frequency_scan(model_at(mid), tol)
-        if accept(scan):
-            lo = mid
-        else:
-            hi = mid
-            witness = scan.zeros
-    return lo, hi, steps, witness
-
-
 def xi_sup_bisection(
     model: StateSpaceModel,
     tau: Optional[float] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> XiResult:
     """Margin bracket by bisection on the strict-passivity predicate, to
-    width tau (tol.bisect_tau when None)."""
+    width tau (tol.bisect_tau when None).  The witness frequencies are the
+    circle zeros of the last level that failed (empty when none did)."""
     _require_minimal(model, tol)
     t = _bracket_width(tau, tol)
     scan0 = frequency_scan(model, tol)
     if not scan0.strictly_passive:
         return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
-    lo, hi, steps, witness = _shift_bisection(
-        lambda x: shift_model(model, x).model,
-        0.0,
-        xi_upper_bound(model),
-        t,
-        tol,
-        lambda scan: scan.strictly_passive,
-    )
+    lo, hi = 0.0, xi_upper_bound(model)
+    witness: Tuple[float, ...] = ()
+    steps = 0
+    while hi - lo > t:
+        steps += 1
+        if steps > 200:
+            raise ConvergenceError(f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]")
+        mid = 0.5 * (lo + hi)
+        scan = frequency_scan(shift_model(model, mid).model, tol)
+        if scan.strictly_passive:
+            lo = mid
+        else:
+            hi = mid
+            witness = scan.zeros
     return XiResult(lo, hi, steps, XiMethod.BISECTION, witness)
 
 

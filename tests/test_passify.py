@@ -10,6 +10,8 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from passirad import StateSpaceModel
+from passirad import passify as passify_module
+from passirad import xi as xi_module
 from passirad.errors import DomainError
 from passirad.experiments import random_passive_system
 from passirad.kernels import DEFAULT_TOL, psd_margin
@@ -164,6 +166,52 @@ def test_refined_perturbation_is_the_least_d_only_shift(passify_pool, index):
     tau = DEFAULT_TOL.bisect_tau
     below = StateSpaceModel(model.A, model.B, model.C, model.D + (c - 2.0 * tau) * np.eye(m))
     assert not frequency_scan(below).passive
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_distance_searches_need_few_frequency_scans(passify_pool, index, monkeypatch):
+    # both searches are level sets: a few scans each, where doubling from
+    # tau and bisecting took about 71 per model
+    calls = []
+    for module in (xi_module, passify_module):
+        original = module.frequency_scan
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "frequency_scan", counted)
+    analyze_distance(passify_pool[index][0])
+    assert 0 < len(calls) <= 12
+
+
+def _assert_xi_big_is_the_least_passive_backward_shift(model, xi_big):
+    tau = DEFAULT_TOL.bisect_tau
+    at = shift_model(model, xi_big, ShiftDirection.BACKWARD).model
+    assert frequency_scan(at).passive
+    below = shift_model(model, xi_big - tau, ShiftDirection.BACKWARD).model
+    assert not frequency_scan(below).passive
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_xi_big_is_the_least_passive_backward_shift_on_the_pool(passify_pool, index):
+    model, rep = passify_pool[index]
+    _assert_xi_big_is_the_least_passive_backward_shift(model, rep.xi_big)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unstable_model_keeps_the_constrained_perturbation(seed):
+    # no D-only shift moves the poles, so delta0 is kept; xi_big must at
+    # least shrink A into the unit disc
+    base = random_passive_system(6, 2, seed=seed).model
+    rho = 1.05
+    model = StateSpaceModel(
+        base.A * (rho / base.spectral_radius), base.B, base.C, base.D - 0.3 * np.eye(2)
+    )
+    rep = analyze_distance(model)
+    assert rep.xi_big >= model.spectral_radius - 1.0
+    _assert_xi_big_is_the_least_passive_backward_shift(model, rep.xi_big)
+    assert np.array_equal(rep.delta_refined, rep.delta_constrained)
 
 
 def test_constrained_perturbation_is_kept_where_the_d_only_shift_is_larger(m_neg):
