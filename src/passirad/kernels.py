@@ -56,7 +56,8 @@ class Tolerances:
     circle_tol  dead band around the unit circle: asymptotic stability and
                 the peripheral band of validate_minimal, asymptotic stability
                 in distance_to_stability, unimodular pencil eigenvalues
-                (frequency_scan, the Riccati solves)
+                (frequency_scan, the Riccati solves); sqrt(circle_tol) is the
+                band of frequency_scan's real-arithmetic screen
     golden_tol  bracket width of minimize_gamma's golden section with Brent's
                 parabolic steps: a smooth minimum is found to sqrt(eps), a
                 kink to golden_tol; also a floor on its top-eigenspace width

@@ -129,7 +129,12 @@ def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
     (alpha, beta) is 0/0 when both sit below 1e-12 times the Frobenius norm
     (at least 1) of their factor.
     """
-    K_ext, L_ext = extended_pencil(model)
+    return _pencil_spectrum(*extended_pencil(model))
+
+
+def _pencil_spectrum(K_ext: np.ndarray, L_ext: np.ndarray) -> np.ndarray:
+    """Eigenvalues of z L_ext - K_ext in the arithmetic of the factors, with
+    the 0/0 pairs of pencil_eigenvalues dropped and beta = 0 read as inf."""
     scale_a = max(float(np.linalg.norm(K_ext)), 1.0)
     scale_b = max(float(np.linalg.norm(L_ext)), 1.0)
     # det(beta K - alpha L) = 0 in homogeneous form, lambda = alpha/beta

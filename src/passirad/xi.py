@@ -6,6 +6,12 @@ M_{-xi} divides by (1 + xi) instead and is used for non-passive models.
 Two procedures locate Xi: plain bisection on the strict-passivity
 predicate, and a level-set iteration that pulls the upper bound down to
 the smallest real eigenvalue of a frequency-pinned Hermitian pencil.
+
+The bisection tries cheap evidence first: a level is failed by a negative
+spectral function at the violation arcs of the last failing scan, and only
+otherwise scanned.  A scan of real data solves the extended pencil in real
+arithmetic first and makes the complex solve only when an eigenvalue lies
+within sqrt(circle_tol) of the circle.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import ConvergenceError, DefinitenessError, DomainError
 from .kernels import DEFAULT_TOL, Tolerances, lambda_min, psd_margin
 from .kyp import CertificateKind, _bordered, _ds_scaled, build_Wtilde, classify_certificate
 from .normalization import normalize
-from .riccati import _stabilizing_solution, pencil_eigenvalues
+from .riccati import _pencil_spectrum, _stabilizing_solution, extended_pencil, pencil_eigenvalues
 from .system_model import StateSpaceModel, phi_eval, validate_minimal
 
 __all__ = [
@@ -163,6 +169,14 @@ def _safe_frequency(model: StateSpaceModel) -> float:
 
 
 def _circle_zero_frequencies(model: StateSpaceModel, tol: Tolerances) -> np.ndarray:
+    if not any(M.imag.any() for M in (model.A, model.B, model.C, model.D)):
+        # real screen: a unimodular eigenvalue of multiplicity k moves by about
+        # eps^(1/k) in a backward-stable solve, far inside sqrt(circle_tol)
+        K_ext, L_ext = extended_pencil(model)
+        screen = _pencil_spectrum(K_ext.real, L_ext.real)
+        screen = screen[np.isfinite(screen)]
+        if not np.any(np.abs(np.abs(screen) - 1.0) <= np.sqrt(tol.circle_tol)):
+            return np.zeros(0)
     lams = pencil_eigenvalues(model)
     finite = lams[np.isfinite(lams)]
     on_circle = finite[np.abs(np.abs(finite) - 1.0) <= tol.circle_tol]
@@ -181,7 +195,9 @@ def _circle_zero_frequencies(model: StateSpaceModel, tol: Tolerances) -> np.ndar
 
 def frequency_scan(model: StateSpaceModel, tol: Tolerances = DEFAULT_TOL) -> FrequencyScan:
     """Classify a model's circle behavior: stability, spectral-function
-    zeros, and the arcs on which positivity fails."""
+    zeros, and the arcs on which positivity fails.  Real data skips the
+    complex pencil solve when a real-arithmetic solve finds no eigenvalue
+    within sqrt(circle_tol) of the circle."""
     rho_a = model.spectral_radius
     if rho_a >= 1.0:
         return FrequencyScan(
@@ -308,27 +324,54 @@ def xi_sup_bisection(
 ) -> XiResult:
     """Margin bracket by bisection on the strict-passivity predicate, to
     width tau (tol.bisect_tau when None).  The witness frequencies are the
-    circle zeros of the last level that failed (empty when none did)."""
+    circle zeros of the last level that failed (empty when none did).
+
+    Cheap steps first: the violation-arc midpoints of the last failing scan
+    are probed at each new level, and a probe reading lambda_min Phi below
+    the psd_tol dead band fails the level without a scan.  When the last
+    failure was such a shortcut, the final upper level is scanned once for
+    its witness frequencies."""
     _require_minimal(model, tol)
     t = _bracket_width(tau, tol)
     scan0 = frequency_scan(model, tol)
     if not scan0.strictly_passive:
         return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
     lo, hi = 0.0, xi_upper_bound(model)
-    witness: Tuple[float, ...] = ()
+    witness: Optional[Tuple[float, ...]] = ()
+    probes: Tuple[float, ...] = ()
     steps = 0
     while hi - lo > t:
         steps += 1
         if steps > 200:
             raise ConvergenceError(f"bisection stalled at bracket [{lo:.12e}, {hi:.12e}]")
         mid = 0.5 * (lo + hi)
-        scan = frequency_scan(shift_model(model, mid).model, tol)
+        shifted = shift_model(model, mid).model
+        if _violated_at(shifted, probes, tol):
+            hi, witness = mid, None
+            continue
+        scan = frequency_scan(shifted, tol)
         if scan.strictly_passive:
             lo = mid
         else:
-            hi = mid
-            witness = scan.zeros
+            hi, witness = mid, scan.zeros
+            probes = tuple(rec[0] for rec in scan.violations)
+    if witness is None:
+        witness = frequency_scan(shift_model(model, hi).model, tol).zeros
     return XiResult(lo, hi, steps, XiMethod.BISECTION, witness)
+
+
+def _violated_at(model: StateSpaceModel, probes: Tuple[float, ...], tol: Tolerances) -> bool:
+    """Whether lambda_min Phi falls below the psd_tol dead band of
+    frequency_scan at any probe frequency (false when Phi cannot be read)."""
+    for om in probes:
+        try:
+            H = phi_eval(model, om)
+        except DomainError:
+            return False
+        lam, scale = psd_margin(H)
+        if lam < -tol.psd_tol * scale:
+            return True
+    return False
 
 
 def xi_sup_eigenvalue(

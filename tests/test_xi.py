@@ -13,9 +13,11 @@ from passirad.passify import analyze_distance, constrained_distance
 from passirad.radius import x_passivity_radius
 from passirad.normalization import normalize
 from passirad.riccati import extremal_solutions
+from passirad import xi as xi_module
 from passirad.xi import (
     ShiftDirection,
     XiMethod,
+    XiResult,
     frequency_scan,
     gamma_xi_omega,
     has_unit_circle_zeros,
@@ -380,3 +382,63 @@ def test_optimal_certificate_attains_the_margin(m0):
     nr = normalize(m0, X)
     rep = x_passivity_radius(nr.model, np.eye(1))
     assert rep.rho >= XI_M0 - 1e-6
+
+
+# ------------------------------------ cheap-first steps and the real screen
+
+
+def _scan_only_bisection(model, tau=1e-8):
+    """The bisection with a full frequency scan at every level."""
+    scan0 = frequency_scan(model)
+    if not scan0.strictly_passive:
+        return XiResult(0.0, 0.0, 0, XiMethod.BISECTION, scan0.zeros)
+    lo, hi = 0.0, xi_upper_bound(model)
+    witness, steps = (), 0
+    while hi - lo > tau:
+        steps += 1
+        mid = 0.5 * (lo + hi)
+        scan = frequency_scan(shift_model(model, mid).model)
+        if scan.strictly_passive:
+            lo = mid
+        else:
+            hi, witness = mid, scan.zeros
+    return XiResult(lo, hi, steps, XiMethod.BISECTION, witness)
+
+
+@pytest.mark.parametrize("name", ["m0", "real", "complex"])
+def test_probe_shortcuts_leave_the_bisection_result_unchanged(name, m0, real_passive_system):
+    complex_model = random_passive_system(8, 2, seed=41).model
+    model = {"m0": m0, "real": real_passive_system(8, 2, 5), "complex": complex_model}[name]
+    res = xi_sup_bisection(model)
+    assert res == _scan_only_bisection(model)
+    assert res.witness_frequencies
+
+
+def test_bisection_makes_few_complex_pencil_solves_on_real_data(real_passive_system, monkeypatch):
+    model = real_passive_system(8, 2, 5)
+    calls = []
+    solve = xi_module.pencil_eigenvalues
+    monkeypatch.setattr(xi_module, "pencil_eigenvalues", lambda m: calls.append(1) or solve(m))
+    res = xi_sup_bisection(model)
+    # a scan at the unshifted model and at each level would make iterations + 1
+    assert len(calls) <= (res.iterations + 1) / 2, (len(calls), res.iterations)
+
+
+@pytest.mark.parametrize("name", ["m0", "m_flat", "real"])
+def test_real_screen_matches_the_complex_path_around_the_margin(
+    name, m0, m_flat, real_passive_system, monkeypatch
+):
+    model = {"m0": m0, "m_flat": m_flat, "real": real_passive_system(8, 2, 5)}[name]
+    res = xi_sup_bisection(model)
+    lo, hi = res.xi_lo, res.xi_hi
+    levels = [lo, hi, hi - 1e-12, hi + 1e-12, 0.5 * (lo + hi)]
+    levels += [XI_M0] if name == "m0" else []
+    models = [shift_model(model, x).model for x in levels if x < 1.0]
+    tol = Tolerances()
+    screened = [xi_module._circle_zero_frequencies(m, tol) for m in models]
+    # a screen that always finds an eigenvalue near the circle falls through
+    monkeypatch.setattr(xi_module, "_pencil_spectrum", lambda K, L: np.ones(1))
+    complex_only = [xi_module._circle_zero_frequencies(m, tol) for m in models]
+    assert len(models) >= 3
+    for a, b in zip(screened, complex_only):
+        assert np.array_equal(a, b), (a, b)
